@@ -18,6 +18,7 @@ use crowdfusion_core::answers::{answer_entropy, AnswerEvaluator};
 use crowdfusion_core::parallel::{
     full_answer_distribution_butterfly_parallel, full_answer_distribution_naive_parallel,
 };
+use crowdfusion_core::pool::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -135,7 +136,12 @@ fn main() {
         );
         let mut rng = StdRng::seed_from_u64(5);
         let trace = experiment
-            .run(&GreedySelector::fast(), &mut platform, &mut rng)
+            .run_sharded(
+                &GreedySelector::fast(),
+                &mut platform,
+                &mut rng,
+                &Pool::serial(),
+            )
             .unwrap();
         println!(
             "  {true_pc:>10.2} {assumed:>10.2} {:>10.3} {:>10.2}",

@@ -13,6 +13,7 @@ pub mod gate;
 
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
+use crowdfusion_core::pool::Pool;
 use crowdfusion_core::round::EntityCase;
 use crowdfusion_core::system::ExperimentTrace;
 use rand::rngs::StdRng;
@@ -65,7 +66,7 @@ pub fn run_quality_experiment(
     );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     experiment
-        .run(selector, &mut platform, &mut rng)
+        .run_sharded(selector, &mut platform, &mut rng, &Pool::serial())
         .expect("experiment runs")
 }
 

@@ -13,15 +13,18 @@
 //! between the answer and the entity's facts,
 //! `I(F_e; Ans_f) = H({f}) − H(Pc)` (the identity verified in the
 //! integration tests): uncertain facts in uncertain entities earn budget,
-//! already-settled entities stop receiving any.
+//! already-settled entities stop receiving any. Entities are ranked with
+//! [`crate::sched::entity_gain`], the same gain function the serving
+//! daemon's `--budget-mode global` scheduler uses.
 
-use crate::answers::{answer_entropy, posterior, AnswerEvaluator};
+use crate::answers::posterior;
 use crate::error::CoreError;
 use crate::metrics::{ConfusionCounts, QualityPoint};
 use crate::round::EntityCase;
+use crate::sched::{entity_gain, GainQueue};
 use crate::system::ExperimentTrace;
 use crowdfusion_crowd::{AnswerModel, CrowdPlatform, Task, TaskId};
-use crowdfusion_jointdist::{binary_entropy, JointDist, VarSet};
+use crowdfusion_jointdist::JointDist;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a globally budgeted run.
@@ -55,31 +58,11 @@ impl GlobalBudgetConfig {
     }
 }
 
-/// Expected utility gain of asking one fact: `H(Ans_f) − H(Pc)` in bits.
-/// Zero when the fact is already certain (the answer would be pure noise).
-pub fn single_task_gain(dist: &JointDist, fact: usize, pc: f64) -> Result<f64, CoreError> {
-    let h = answer_entropy(dist, VarSet::single(fact), pc, AnswerEvaluator::Butterfly)?;
-    Ok((h - binary_entropy(pc)).max(0.0))
-}
-
-/// The best `(fact, gain)` for an entity, or `None` for a zero-fact entity.
-pub fn best_task(dist: &JointDist, pc: f64) -> Result<Option<(usize, f64)>, CoreError> {
-    let mut best: Option<(usize, f64)> = None;
-    for f in 0..dist.num_vars() {
-        let gain = single_task_gain(dist, f, pc)?;
-        match best {
-            Some((_, g)) if gain <= g => {}
-            _ => best = Some((f, gain)),
-        }
-    }
-    Ok(best)
-}
-
 /// Runs the globally budgeted refinement: each round ranks entities by the
-/// expected gain of their best single task, asks the crowd the top `batch`
-/// of them, and merges the answers. Produces the same quality-vs-cost
-/// series as [`crate::system::Experiment::run`], so fixed-budget and
-/// global-budget strategies compare point for point.
+/// expected gain of their best single task ([`entity_gain`]), asks the
+/// crowd the top `batch` of them, and merges the answers. Produces the same
+/// quality-vs-cost series as [`crate::system::Experiment::run_sharded`], so
+/// fixed-budget and global-budget strategies compare point for point.
 pub fn run_global<M: AnswerModel>(
     cases: &[EntityCase],
     config: GlobalBudgetConfig,
@@ -113,9 +96,9 @@ pub fn run_global<M: AnswerModel>(
         // gain queue: highest gain first, deterministic tie-break by
         // entity index — the exact admission order `serve --budget-mode
         // global` uses across sessions.
-        let mut queue = crate::sched::GainQueue::new();
+        let mut queue = GainQueue::new();
         for (e, dist) in dists.iter().enumerate() {
-            if let Some((fact, gain)) = best_task(dist, config.pc_assumed)? {
+            if let Some((fact, gain)) = entity_gain(dist, config.pc_assumed)? {
                 queue.insert(e as u64, fact, gain);
             }
         }
@@ -165,7 +148,6 @@ pub fn run_global<M: AnswerModel>(
 mod tests {
     use super::*;
     use crowdfusion_crowd::{UniformAccuracy, WorkerPool};
-    use crowdfusion_jointdist::presets::paper_running_example;
     use crowdfusion_jointdist::Assignment;
 
     fn platform(pc: f64, seed: u64) -> CrowdPlatform<UniformAccuracy> {
@@ -198,21 +180,6 @@ mod tests {
         assert!(GlobalBudgetConfig::new(10, 0, 0.8).is_err());
         assert!(GlobalBudgetConfig::new(10, 2, 0.3).is_err());
         assert!(GlobalBudgetConfig::new(10, 2, 0.8).is_ok());
-    }
-
-    #[test]
-    fn single_task_gain_ordering() {
-        let d = paper_running_example();
-        // f1 (marginal 0.5) must have the highest single-task gain.
-        let gains: Vec<f64> = (0..4)
-            .map(|f| single_task_gain(&d, f, 0.8).unwrap())
-            .collect();
-        let max = gains.iter().cloned().fold(f64::MIN, f64::max);
-        assert!((gains[0] - max).abs() < 1e-12);
-        // A certain fact has zero gain.
-        let certain = JointDist::certain(2, Assignment(0b01)).unwrap();
-        assert!(single_task_gain(&certain, 0, 0.8).unwrap() < 1e-12);
-        assert!(single_task_gain(&certain, 1, 0.8).unwrap() < 1e-12);
     }
 
     #[test]
@@ -259,6 +226,7 @@ mod tests {
 
     #[test]
     fn beats_fixed_budget_on_heterogeneous_entities() {
+        use crate::pool::Pool;
         use crate::round::RoundConfig;
         use crate::selection::GreedySelector;
         use crate::system::Experiment;
@@ -294,7 +262,7 @@ mod tests {
             let mut p = platform(0.85, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             fixed_sum += exp
-                .run(&GreedySelector::fast(), &mut p, &mut rng)
+                .run_sharded(&GreedySelector::fast(), &mut p, &mut rng, &Pool::serial())
                 .unwrap()
                 .last()
                 .utility;

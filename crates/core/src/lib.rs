@@ -18,8 +18,10 @@
 //! * [`query`] — the query-based extension (Section IV);
 //! * [`prior`] — lifting fusion marginals (+ correlation groups) into a
 //!   joint prior;
-//! * [`round`] / [`system`] — the select–collect–update round driver and
-//!   multi-entity experiment orchestration (serial and entity-sharded);
+//! * [`session`] — the select–collect–update round engine every driver
+//!   steps, offline and served; [`shard`] — the registry of sessions;
+//! * [`round`] / [`system`] — round vocabulary, the one-entity driver and
+//!   multi-entity experiment orchestration (entity-sharded, batched);
 //! * [`metrics`] — utility and F1 bookkeeping;
 //! * [`pool`] — the fork–join worker pool every sharded computation runs
 //!   on (greedy candidates, preprocessing, entity rounds);
@@ -67,7 +69,7 @@ pub use selection::{
 };
 pub use session::{
     AbsorbReport, EntitySpec, OpenedSession, PublishedRound, PublishedTask, RegistryMetrics,
-    RegistrySnapshot, SelectOutcome, SessionRegistry, SessionSnapshot, SessionState,
+    RegistrySnapshot, SelectOutcome, SessionSnapshot, SessionState,
 };
 pub use shard::ShardedRegistry;
 pub use system::{assemble_trace, EntitySeries, Experiment, ExperimentTrace, RoundQuality};

@@ -14,10 +14,11 @@
 //! reversed; the implemented direction (`Q(I|T) ≤ Q(I|T')` for `T ⊆ T'`,
 //! "information never hurts") is the one its own proof sketch supports.
 
-use crate::answers::{bsc_transform_in_place, posterior_in_place};
+use crate::answers::bsc_transform_in_place;
 use crate::error::CoreError;
-use crate::round::{prepare_round, EntityCase, RoundConfig};
+use crate::round::{EntityCase, RoundConfig};
 use crate::selection::{validate_selection, TaskSelector};
+use crate::session::{SelectOutcome, SessionState};
 use crate::MAX_DENSE_FACTS;
 use crowdfusion_crowd::{AnswerModel, CrowdPlatform};
 use crowdfusion_jointdist::{JointDist, VarSet};
@@ -180,9 +181,11 @@ pub struct QueryCurvePoint {
     pub accuracy: f64,
 }
 
-/// The FOI-aware round driver: runs the select–collect–update loop of
-/// Figure 1 with [`QueryGreedySelector`] steering every round toward the
-/// facts of interest, and records a budget → quality curve.
+/// The FOI-aware round driver: steps one [`SessionState`] through the
+/// select–collect–update loop of Figure 1 with [`QueryGreedySelector`]
+/// steering every round toward the facts of interest, and records a
+/// budget → quality curve. The session's selector stream is seeded with
+/// one draw from `rng`; `task_seq` supplies the task ids.
 ///
 /// Each round re-plans on the evolving posterior (so answers steer later
 /// selections), spends `min(k, n, remaining)` judgments, and appends a
@@ -201,15 +204,12 @@ pub fn run_query_rounds<M: AnswerModel>(
     rng: &mut dyn RngCore,
     task_seq: &mut u64,
 ) -> Result<Vec<QueryCurvePoint>, CoreError> {
-    case.validate()?;
     if interest.is_empty() {
         return Err(CoreError::EmptyInterestSet);
     }
     let selector = QueryGreedySelector::new(interest);
-    let mut dist = case.prior.clone();
+    let mut state = SessionState::new(case.clone(), config, rng.next_u64(), *task_seq)?;
     let mut cumulative = VarSet::EMPTY;
-    let mut remaining = config.budget;
-    let mut spent = 0usize;
 
     let measure = |dist: &JointDist, cumulative: VarSet, spent: usize| -> Result<_, CoreError> {
         let mut correct = 0usize;
@@ -225,25 +225,23 @@ pub fn run_query_rounds<M: AnswerModel>(
         })
     };
 
-    let mut points = vec![measure(&dist, cumulative, 0)?];
-    while remaining > 0 {
-        let Some(pending) =
-            prepare_round(case, config, &dist, remaining, &selector, rng, task_seq)?
-        else {
-            break; // FOI settled or budget gone
-        };
-        let next_cumulative = cumulative.union(VarSet::from_vars(pending.tasks.iter().copied()));
+    let mut points = vec![measure(state.posterior(), cumulative, 0)?];
+    // Ends when the FOI is settled or the budget is gone.
+    while let SelectOutcome::Round(round) = state.select(&selector)? {
+        let next_cumulative =
+            cumulative.union(VarSet::from_vars(round.tasks.iter().map(|t| t.fact)));
         if next_cumulative.len() > MAX_DENSE_FACTS {
             break; // planned curve would leave the dense answer lattice
         }
-        let answers = platform.publish(&pending.crowd_tasks, &pending.truths)?;
-        let judgments: Vec<bool> = answers.iter().map(|a| a.value).collect();
-        posterior_in_place(&mut dist, &pending.tasks, &judgments, config.pc_assumed)?;
-        spent += pending.tasks.len();
-        remaining -= pending.tasks.len();
+        let (tasks, truths) = round.into_crowd_batch(case.gold);
+        let answers = platform.publish(&tasks, &truths)?;
+        let judgments: Vec<(u64, bool)> = answers.iter().map(|a| (a.task.0, a.value)).collect();
+        state.absorb(&judgments)?;
         cumulative = next_cumulative;
-        points.push(measure(&dist, cumulative, spent)?);
+        points.push(measure(state.posterior(), cumulative, state.spent())?);
     }
+    // Ids of a round left open at the dense-lattice cutoff stay issued.
+    *task_seq += (state.spent() + state.open_round_tasks()) as u64;
     Ok(points)
 }
 

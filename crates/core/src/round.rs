@@ -1,15 +1,20 @@
-//! The select–collect–update round driver for one entity (paper Figure 1).
+//! Round vocabulary and the closed-loop driver for one entity (paper
+//! Figure 1).
 //!
 //! "We call a selection-collection-updating cycle as a round … As long as we
 //! have budget, we run another round" (Section III). Per entity (book) the
 //! paper gives a budget `B`; each round asks `min(k, n, remaining)` tasks
 //! ("If a book has n ≥ k facts, we will ask k tasks in every round …
 //! Otherwise, we will ask n tasks in each round instead", Section V-A).
+//!
+//! The round itself is implemented once, by
+//! [`crate::session::SessionState`]; [`run_entity`] steps one session
+//! against a synchronous [`CrowdPlatform`] until its budget runs out.
 
-use crate::answers::posterior_in_place;
 use crate::error::CoreError;
 use crate::selection::TaskSelector;
-use crowdfusion_crowd::{AnswerModel, CrowdPlatform, Task, TaskClass};
+use crate::session::{SelectOutcome, SessionState};
+use crowdfusion_crowd::{AnswerModel, CrowdPlatform, TaskClass};
 use crowdfusion_jointdist::{Assignment, JointDist};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -132,8 +137,10 @@ impl EntityTrace {
     }
 }
 
-/// Runs the full budget loop of Figure 1 on one entity.
+/// Runs the full budget loop of Figure 1 on one entity: select, publish to
+/// `platform`, absorb, until the budget is spent or the selector stops.
 ///
+/// The session's selector stream is seeded with one draw from `rng`, and
 /// `task_seq` supplies globally unique task ids across entities/rounds.
 pub fn run_entity<M: AnswerModel>(
     case: &EntityCase,
@@ -143,179 +150,20 @@ pub fn run_entity<M: AnswerModel>(
     rng: &mut dyn RngCore,
     task_seq: &mut u64,
 ) -> Result<EntityTrace, CoreError> {
-    case.validate()?;
-    let mut state = EntityState::new(case, config);
-    let mut points = Vec::new();
-    while state.remaining > 0 {
-        match state.step(selector, platform, rng, task_seq)? {
-            Some(point) => points.push(point),
-            None => break,
-        }
+    let mut state = SessionState::new(case.clone(), config, rng.next_u64(), *task_seq)?;
+    while let SelectOutcome::Round(round) = state.select(selector)? {
+        let (tasks, truths) = round.into_crowd_batch(case.gold);
+        let answers = platform.publish(&tasks, &truths)?;
+        let judgments: Vec<(u64, bool)> = answers.iter().map(|a| (a.task.0, a.value)).collect();
+        state.absorb(&judgments)?;
     }
+    *task_seq += state.spent() as u64;
     Ok(EntityTrace {
         name: case.name.clone(),
-        prior_utility: case.prior.utility(),
-        points,
-        posterior: state.dist,
+        prior_utility: state.series().prior_utility,
+        points: state.points().to_vec(),
+        posterior: state.posterior().clone(),
     })
-}
-
-/// Incremental per-entity state, stepped one round at a time. Used directly
-/// by [`crate::system::Experiment`] to interleave rounds across entities.
-pub(crate) struct EntityState<'a> {
-    pub(crate) case: &'a EntityCase,
-    pub(crate) config: RoundConfig,
-    pub(crate) dist: JointDist,
-    pub(crate) remaining: usize,
-    pub(crate) round: usize,
-    pub(crate) spent: usize,
-}
-
-/// A round that has been selected but not yet answered: the output of
-/// [`EntityState::prepare`], consumed by [`EntityState::absorb`] once the
-/// crowd's judgments are in. Splitting the round at the publish boundary
-/// is what lets [`crate::system::Experiment::run_sharded`] collect every
-/// entity's pending round into one [`crowdfusion_crowd::RoundBatch`] and
-/// pay a single platform round trip per global round.
-pub(crate) struct PendingRound {
-    /// Selected fact indices.
-    pub(crate) tasks: Vec<usize>,
-    /// The crowd-facing tasks (globally unique ids, prompts, classes).
-    pub(crate) crowd_tasks: Vec<Task>,
-    /// Hidden ground truths, parallel to `tasks`.
-    pub(crate) truths: Vec<bool>,
-}
-
-/// The shared *select* phase of one round: picks the task set under the
-/// remaining budget and builds the crowd-facing batch, without publishing
-/// it. Returns `None` when the budget is exhausted or the selector yields
-/// no tasks (`K* = 0`). This single code path backs both the borrowing
-/// [`EntityState`] used by the offline experiment runners and the owning
-/// [`crate::session::SessionState`] behind the service — so a service
-/// session and an offline run fed the same RNG streams select bit-identical
-/// rounds by construction.
-pub(crate) fn prepare_round(
-    case: &EntityCase,
-    config: RoundConfig,
-    dist: &JointDist,
-    remaining: usize,
-    selector: &dyn TaskSelector,
-    rng: &mut dyn RngCore,
-    task_seq: &mut u64,
-) -> Result<Option<PendingRound>, CoreError> {
-    if remaining == 0 {
-        return Ok(None);
-    }
-    let ask = config.k.min(case.num_facts()).min(remaining);
-    let tasks = selector.select(dist, config.pc_assumed, ask, rng)?;
-    if tasks.is_empty() {
-        return Ok(None);
-    }
-    let crowd_tasks: Vec<Task> = tasks
-        .iter()
-        .map(|&f| {
-            let id = *task_seq;
-            *task_seq += 1;
-            Task {
-                id: crowdfusion_crowd::TaskId(id),
-                prompt: case.prompts[f].clone(),
-                class: case.classes[f],
-            }
-        })
-        .collect();
-    let truths: Vec<bool> = tasks.iter().map(|&f| case.gold.get(f)).collect();
-    Ok(Some(PendingRound {
-        tasks,
-        crowd_tasks,
-        truths,
-    }))
-}
-
-impl<'a> EntityState<'a> {
-    pub(crate) fn new(case: &'a EntityCase, config: RoundConfig) -> EntityState<'a> {
-        EntityState {
-            case,
-            config,
-            dist: case.prior.clone(),
-            remaining: config.budget,
-            round: 0,
-            spent: 0,
-        }
-    }
-
-    /// The *select* phase of one round ([`prepare_round`]). Returns `None`
-    /// — and pins `remaining` to 0 so later calls stay `None` — when the
-    /// budget is exhausted or the selector yields no tasks (`K* = 0`).
-    pub(crate) fn prepare(
-        &mut self,
-        selector: &dyn TaskSelector,
-        rng: &mut dyn RngCore,
-        task_seq: &mut u64,
-    ) -> Result<Option<PendingRound>, CoreError> {
-        let pending = prepare_round(
-            self.case,
-            self.config,
-            &self.dist,
-            self.remaining,
-            selector,
-            rng,
-            task_seq,
-        )?;
-        if pending.is_none() {
-            self.remaining = 0;
-        }
-        Ok(pending)
-    }
-
-    /// The *update* phase of one round: merges the crowd's `judgments`
-    /// (parallel to `pending.tasks`) into the posterior and closes the
-    /// round's bookkeeping.
-    pub(crate) fn absorb(
-        &mut self,
-        pending: PendingRound,
-        judgments: Vec<bool>,
-    ) -> Result<RoundPoint, CoreError> {
-        // In-place merge: the posterior's support is a (reweighted) subset
-        // of the current support, so the sorted entry vector is reused. On
-        // error the run aborts, so a poisoned `dist` is never observed.
-        posterior_in_place(
-            &mut self.dist,
-            &pending.tasks,
-            &judgments,
-            self.config.pc_assumed,
-        )?;
-        self.remaining -= pending.tasks.len();
-        self.spent += pending.tasks.len();
-        self.round += 1;
-        Ok(RoundPoint {
-            round: self.round,
-            cost: self.spent,
-            utility: self.dist.utility(),
-            tasks: pending.tasks,
-            answers: judgments,
-        })
-    }
-
-    /// Runs one full select–collect–update round against `platform`;
-    /// returns `None` when the selector yields no tasks (`K* = 0`) or the
-    /// budget is exhausted. This is [`EntityState::prepare`] +
-    /// [`CrowdPlatform::publish`] + [`EntityState::absorb`] — the
-    /// per-entity protocol; the batched protocol replaces the middle step
-    /// with one global `publish_batch`.
-    pub(crate) fn step<M: AnswerModel>(
-        &mut self,
-        selector: &dyn TaskSelector,
-        platform: &mut CrowdPlatform<M>,
-        rng: &mut dyn RngCore,
-        task_seq: &mut u64,
-    ) -> Result<Option<RoundPoint>, CoreError> {
-        let Some(pending) = self.prepare(selector, rng, task_seq)? else {
-            return Ok(None);
-        };
-        let answers = platform.publish(&pending.crowd_tasks, &pending.truths)?;
-        let judgments: Vec<bool> = answers.iter().map(|a| a.value).collect();
-        self.absorb(pending, judgments).map(Some)
-    }
 }
 
 #[cfg(test)]

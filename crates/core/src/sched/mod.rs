@@ -2,8 +2,8 @@
 //!
 //! [`crate::allocation::run_global`] implements the paper's Section V-D
 //! suggestion — spend a single budget where the expected utility gain per
-//! judgment is greatest — but only as an *offline* loop over a fixed slice
-//! of entities. The serving daemon needs the same policy online: sessions
+//! judgment is greatest — as an *offline* loop over a fixed slice of
+//! entities. The serving daemon needs the same policy online: sessions
 //! open and close concurrently, rounds are absorbed out of order, and the
 //! scheduler state must survive crashes byte-identically.
 //!
@@ -38,9 +38,9 @@ use crowdfusion_jointdist::JointDist;
 /// clamped at zero, maximised over facts with ties broken on the lowest
 /// fact index. `None` for a zero-fact entity.
 ///
-/// Equivalent to the ranking inside [`crate::allocation::run_global`], but
-/// evaluated through the [`ScatterCache`] incremental-gain hook so it is
-/// exact on sparse supports too.
+/// The one gain function behind both [`crate::allocation::run_global`] and
+/// the daemon's global scheduler, evaluated through the [`ScatterCache`]
+/// incremental-gain hook so it is exact on sparse supports too.
 pub fn entity_gain(dist: &JointDist, pc: f64) -> Result<Option<(usize, f64)>, CoreError> {
     crate::validate_pc(pc)?;
     let cache = ScatterCache::new(dist);
@@ -51,8 +51,10 @@ pub fn entity_gain(dist: &JointDist, pc: f64) -> Result<Option<(usize, f64)>, Co
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::single_task_gain;
-    use crowdfusion_jointdist::{Assignment, FactorGraphBuilder, JointDist};
+    use crate::answers::{answer_entropy, AnswerEvaluator};
+    use crowdfusion_jointdist::{
+        binary_entropy, Assignment, FactorGraphBuilder, JointDist, VarSet,
+    };
 
     #[test]
     fn rejects_invalid_pc() {
@@ -71,11 +73,13 @@ mod tests {
         for dist in &dists {
             for pc in [0.6, 0.8, 0.95] {
                 let (fact, gain) = entity_gain(dist, pc).unwrap().unwrap();
-                // Brute-force reference: argmax of the allocation-module
-                // gain, lowest fact on ties.
+                // Brute-force reference: argmax of H({f}) − H(Pc) from the
+                // butterfly answer distribution, lowest fact on ties.
                 let mut best = (0usize, f64::MIN);
                 for f in 0..dist.num_vars() {
-                    let g = single_task_gain(dist, f, pc).unwrap();
+                    let h = answer_entropy(dist, VarSet::single(f), pc, AnswerEvaluator::Butterfly)
+                        .unwrap();
+                    let g = (h - binary_entropy(pc)).max(0.0);
                     if g > best.1 {
                         best = (f, g);
                     }

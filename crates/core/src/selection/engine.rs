@@ -156,9 +156,8 @@ impl ScatterCache {
     /// best `(fact, gain)` over `0..num_facts` where
     /// `gain = H(T ∪ {f}) − H(T) − H(Pc)`, clamped at zero — the mutual
     /// information the next answer on `f` would buy beyond channel noise
-    /// (at depth 0 this is exactly
-    /// [`crate::allocation::single_task_gain`], but evaluated on the
-    /// cache so sparse supports beyond the dense limit work too).
+    /// (at depth 0 this is the single-task gain `H({f}) − H(Pc)`, evaluated
+    /// on the cache so sparse supports beyond the dense limit work too).
     ///
     /// Ties break on the lowest fact index, making the result a pure
     /// function of the distribution. Returns `None` for zero facts.

@@ -1,17 +1,19 @@
-//! Long-lived refinement sessions: the resumable state machine behind
-//! `crowdfusion-serve`.
+//! Long-lived refinement sessions: the one round engine behind every
+//! driver, offline and served.
 //!
-//! The offline experiment runners ([`crate::system::Experiment`]) drive the
-//! select–collect–update cycle in a closed loop: every round's answers come
-//! back in one synchronous `publish` round trip. A *service* cannot assume
-//! that — crowd answers stream in **incrementally and out of order**:
-//! partial batches, late answers for rounds that already closed, duplicate
-//! deliveries. [`SessionState`] therefore splits the PR 4
-//! `EntityState::prepare`/`absorb` cycle into a resumable state machine:
+//! [`SessionState`] is the paper's select–collect–update cycle (Figure 1)
+//! for one entity, split at the publish boundary into a resumable state
+//! machine. The offline drivers ([`crate::system::Experiment::run_sharded`],
+//! [`crate::round::run_entity`], [`crate::query::run_query_rounds`]) step
+//! it in a closed loop — select, publish to a crowd, absorb — while
+//! `crowdfusion-serve` steps it one request at a time, with crowd answers
+//! streaming in **incrementally and out of order**: partial batches, late
+//! answers for rounds that already closed, duplicate deliveries.
 //!
-//! * [`SessionState::select`] runs the *select* phase (the shared
-//!   [`crate::round`] `prepare_round` path, so selections are bit-identical
-//!   to the offline drivers) and leaves the round **open**;
+//! * [`SessionState::select`] runs the *select* phase under the session
+//!   budget and leaves the round **open**; [`PublishedRound::into_crowd_batch`]
+//!   turns it into the crowd tasks and hidden truths an offline driver
+//!   publishes;
 //! * [`SessionState::absorb`] ingests any subset of the open round's
 //!   answers in any order, rejecting duplicates and stale ids; once the
 //!   last answer lands, the round closes with one
@@ -22,28 +24,26 @@
 //!   open round's partial answers — so a daemon can restart mid-round
 //!   without losing a single judgment.
 //!
-//! [`SessionRegistry`] manages many concurrent sessions over one worker
-//! [`Pool`] (priors are built on the pool at `open` time) and derives each
-//! session's RNG streams from a master seed exactly like
+//! Many sessions live in a [`crate::shard::ShardedRegistry`], which derives
+//! each session's RNG streams from a master seed exactly like
 //! [`crate::system::Experiment::run_sharded`] derives its per-entity
 //! streams — so a registry opened with the entities of an offline
 //! experiment, in order, and fed the seeded crowd's answers reproduces the
-//! offline trace bit for bit (see `crates/service/tests`).
+//! offline trace bit for bit (see `crates/core/tests/batched_rounds.rs`
+//! and `crates/service/tests`).
 
 use crate::answers::posterior_in_place;
 use crate::error::CoreError;
 use crate::metrics::ConfusionCounts;
-use crate::pool::Pool;
 use crate::prior::default_grouped_prior;
-use crate::round::{prepare_round, EntityCase, RoundConfig, RoundPoint};
+use crate::round::{EntityCase, RoundConfig, RoundPoint};
 use crate::selection::TaskSelector;
-use crate::system::{assemble_trace, EntitySeries, ExperimentTrace, RoundQuality};
-use crowdfusion_crowd::TaskClass;
+use crate::system::{EntitySeries, RoundQuality};
+use crowdfusion_crowd::{Task, TaskClass, TaskId};
 use crowdfusion_jointdist::{Assignment, JointDist};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// An entity as it crosses the wire into the service: per-fact fusion
 /// marginals plus correlation groups (the inputs of
@@ -169,6 +169,25 @@ pub struct PublishedRound {
     pub tasks: Vec<PublishedTask>,
 }
 
+impl PublishedRound {
+    /// The round as the crowd sees it: one [`Task`] per published task, in
+    /// selection order, paired with its hidden truth under `gold`. This is
+    /// the batch every offline driver publishes to its simulated crowd.
+    pub fn into_crowd_batch(self, gold: Assignment) -> (Vec<Task>, Vec<bool>) {
+        let truths = self.tasks.iter().map(|t| gold.get(t.fact)).collect();
+        let tasks = self
+            .tasks
+            .into_iter()
+            .map(|t| Task {
+                id: TaskId(t.id),
+                prompt: t.prompt,
+                class: t.class,
+            })
+            .collect();
+        (tasks, truths)
+    }
+}
+
 /// The outcome of [`SessionState::select`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectOutcome {
@@ -284,10 +303,10 @@ pub struct SessionState {
 
 impl SessionState {
     /// Opens a session: `selector_seed` seeds the selector RNG stream and
-    /// `task_seq_base` is the first task id — pass the same values the
-    /// offline sharded runner derives for the entity (stream seed from the
-    /// master RNG, ids from the block `(index << 32)..`) and the session
-    /// will select bit-identical rounds.
+    /// `task_seq_base` is the first task id. A registry and the offline
+    /// sharded runner both pass the stream seed drawn from their master
+    /// RNG and ids from the block `(index << 32)..`, which is why the two
+    /// select bit-identical rounds.
     pub fn new(
         case: EntityCase,
         config: RoundConfig,
@@ -338,62 +357,49 @@ impl SessionState {
         selector: &dyn TaskSelector,
         cap: Option<usize>,
     ) -> Result<SelectOutcome, CoreError> {
-        if let Some(open) = &self.open {
-            let tasks = open
-                .tasks
-                .iter()
-                .zip(&open.ids)
-                .map(|(&fact, &id)| PublishedTask {
-                    id,
-                    fact,
-                    prompt: self.case.prompts[fact].clone(),
-                    class: self.case.classes[fact],
-                })
-                .collect();
-            return Ok(SelectOutcome::Round(PublishedRound {
-                round: self.round + 1,
+        if self.open.is_none() {
+            if self.exhausted {
+                return Ok(SelectOutcome::Exhausted);
+            }
+            let limit = match cap {
+                Some(0) => return Err(CoreError::EmptyTaskSet),
+                Some(cap) => self.remaining.min(cap),
+                None => self.remaining,
+            };
+            // Each round asks `min(k, n, remaining)` tasks (Section V-A);
+            // a spent budget or an empty selection (`K* = 0`) ends the
+            // session for good.
+            let tasks = if limit == 0 {
+                Vec::new()
+            } else {
+                let ask = self.config.k.min(self.case.num_facts()).min(limit);
+                selector.select(&self.dist, self.config.pc_assumed, ask, &mut self.rng)?
+            };
+            if tasks.is_empty() {
+                self.exhausted = true;
+                self.remaining = 0;
+                return Ok(SelectOutcome::Exhausted);
+            }
+            let ids = (self.task_seq..).take(tasks.len()).collect();
+            self.task_seq += tasks.len() as u64;
+            self.open = Some(OpenRound {
+                received: vec![None; tasks.len()],
                 tasks,
-            }));
+                ids,
+            });
         }
-        if self.exhausted {
-            return Ok(SelectOutcome::Exhausted);
-        }
-        let limit = match cap {
-            Some(0) => return Err(CoreError::EmptyTaskSet),
-            Some(cap) => self.remaining.min(cap),
-            None => self.remaining,
-        };
-        let rng: &mut dyn RngCore = &mut self.rng;
-        let Some(pending) = prepare_round(
-            &self.case,
-            self.config,
-            &self.dist,
-            limit,
-            selector,
-            rng,
-            &mut self.task_seq,
-        )?
-        else {
-            self.exhausted = true;
-            self.remaining = 0;
-            return Ok(SelectOutcome::Exhausted);
-        };
-        let tasks: Vec<PublishedTask> = pending
+        let open = self.open.as_ref().expect("a round is open");
+        let tasks = open
             .tasks
             .iter()
-            .zip(&pending.crowd_tasks)
-            .map(|(&fact, task)| PublishedTask {
-                id: task.id.0,
+            .zip(&open.ids)
+            .map(|(&fact, &id)| PublishedTask {
+                id,
                 fact,
-                prompt: task.prompt.clone(),
-                class: task.class,
+                prompt: self.case.prompts[fact].clone(),
+                class: self.case.classes[fact],
             })
             .collect();
-        self.open = Some(OpenRound {
-            ids: tasks.iter().map(|t| t.id).collect(),
-            tasks: pending.tasks,
-            received: vec![None; tasks.len()],
-        });
         Ok(SelectOutcome::Round(PublishedRound {
             round: self.round + 1,
             tasks,
@@ -406,8 +412,7 @@ impl SessionState {
     /// counted and dropped — first answer wins; ids this session never
     /// published are a hard error and leave the state untouched. When the
     /// open round's last answer lands the round closes: the judgments are
-    /// merged **in selection order** through the same
-    /// [`posterior_in_place`] path the offline drivers use, so the
+    /// merged **in selection order** with [`posterior_in_place`], so the
     /// posterior is bit-identical for every arrival order.
     pub fn absorb(&mut self, answers: &[(u64, bool)]) -> Result<AbsorbReport, CoreError> {
         if self.open.is_none() && self.round == 0 {
@@ -511,6 +516,15 @@ impl SessionState {
             open.validate(snap.case.num_facts())?;
         }
         let invalid = |reason: String| Err(CoreError::InvalidSnapshot(reason));
+        // The next select indexes the case's prompts by the posterior's
+        // facts: a posterior over a different fact count would panic there.
+        if snap.dist.num_vars() != snap.case.num_facts() {
+            return invalid(format!(
+                "posterior over {} facts for a case with {} facts",
+                snap.dist.num_vars(),
+                snap.case.num_facts()
+            ));
+        }
         if snap.spent.checked_add(snap.remaining) != Some(snap.config.budget)
             && !(snap.exhausted && snap.remaining == 0 && snap.spent <= snap.config.budget)
         {
@@ -698,228 +712,12 @@ pub struct NumberedSnapshot {
     pub snapshot: SessionSnapshot,
 }
 
-/// A registry of concurrent refinement sessions sharing one worker pool.
-///
-/// Stream derivation mirrors [`crate::system::Experiment::run_sharded`]:
-/// each opened session draws `(answer_seed, selector_seed)` from the
-/// master RNG in open order and publishes task ids from the disjoint block
-/// `(session_index << 32)..`. A fresh registry seeded like an offline run
-/// and opened with the run's entities in order therefore reproduces the
-/// offline experiment exactly.
-pub struct SessionRegistry {
-    pool: Pool,
-    master: StdRng,
-    defaults: RoundConfig,
-    sessions: BTreeMap<u64, SessionState>,
-    next_index: u64,
-}
-
-impl SessionRegistry {
-    /// Creates a registry with the given master seed, per-session default
-    /// config and worker pool.
-    pub fn new(seed: u64, defaults: RoundConfig, pool: Pool) -> SessionRegistry {
-        SessionRegistry {
-            pool,
-            master: StdRng::seed_from_u64(seed),
-            defaults,
-            sessions: BTreeMap::new(),
-            next_index: 0,
-        }
-    }
-
-    /// The registry's worker pool.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
-    }
-
-    /// The default round configuration.
-    pub fn defaults(&self) -> RoundConfig {
-        self.defaults
-    }
-
-    /// Opens one session per spec: priors are built **in parallel on the
-    /// pool**, then sessions are registered in spec order with seeds drawn
-    /// from the master RNG. Atomic: a spec that fails to build fails the
-    /// whole call with no session opened and no seed drawn.
-    pub fn open_batch(
-        &mut self,
-        specs: Vec<EntitySpec>,
-        config: Option<RoundConfig>,
-    ) -> Result<Vec<OpenedSession>, CoreError> {
-        for spec in &specs {
-            spec.validate()?;
-        }
-        let config = config.unwrap_or(self.defaults);
-        let cases: Result<Vec<EntityCase>, CoreError> = self.pool.map_reduce(
-            specs.len(),
-            |i| specs[i].clone().into_case(),
-            Ok(Vec::with_capacity(specs.len())),
-            |acc: Result<Vec<EntityCase>, CoreError>, case| {
-                let mut acc = acc?;
-                acc.push(case?);
-                Ok(acc)
-            },
-        );
-        let cases = cases?;
-        let mut opened = Vec::with_capacity(cases.len());
-        for case in cases {
-            let answer_seed = self.master.next_u64();
-            let selector_seed = self.master.next_u64();
-            let id = self.next_index;
-            self.next_index += 1;
-            let state = SessionState::new(case, config, selector_seed, id << 32)?;
-            opened.push(OpenedSession {
-                session: id,
-                name: state.name().to_string(),
-                facts: state.num_facts(),
-                answer_seed,
-                utility: state.utility(),
-                entropy: state.entropy(),
-            });
-            self.sessions.insert(id, state);
-        }
-        Ok(opened)
-    }
-
-    /// Looks a session up.
-    pub fn get(&self, session: u64) -> Result<&SessionState, CoreError> {
-        self.sessions
-            .get(&session)
-            .ok_or(CoreError::UnknownSession { session })
-    }
-
-    /// Mutable session lookup.
-    pub fn get_mut(&mut self, session: u64) -> Result<&mut SessionState, CoreError> {
-        self.sessions
-            .get_mut(&session)
-            .ok_or(CoreError::UnknownSession { session })
-    }
-
-    /// Runs the *select* phase on one session.
-    pub fn select(
-        &mut self,
-        session: u64,
-        selector: &dyn TaskSelector,
-    ) -> Result<SelectOutcome, CoreError> {
-        self.get_mut(session)?.select(selector)
-    }
-
-    /// Runs the *select* phase on one session under an external task cap
-    /// (see [`SessionState::select_capped`]).
-    pub fn select_capped(
-        &mut self,
-        session: u64,
-        selector: &dyn TaskSelector,
-        cap: Option<usize>,
-    ) -> Result<SelectOutcome, CoreError> {
-        self.get_mut(session)?.select_capped(selector, cap)
-    }
-
-    /// Ingests answers into one session.
-    pub fn absorb(
-        &mut self,
-        session: u64,
-        answers: &[(u64, bool)],
-    ) -> Result<AbsorbReport, CoreError> {
-        self.get_mut(session)?.absorb(answers)
-    }
-
-    /// Removes a session from the registry (TTL eviction / administrative
-    /// drop), returning its final state for any closing bookkeeping. The
-    /// master RNG is untouched: seeds already drawn stay drawn, so
-    /// sessions opened after an eviction continue the same seed schedule
-    /// as if the evicted session were still live.
-    pub fn evict(&mut self, session: u64) -> Result<SessionState, CoreError> {
-        self.sessions
-            .remove(&session)
-            .ok_or(CoreError::UnknownSession { session })
-    }
-
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether no session is open.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Session ids in ascending order.
-    pub fn ids(&self) -> Vec<u64> {
-        self.sessions.keys().copied().collect()
-    }
-
-    /// Assembles the registry-wide quality-vs-cost trace over all sessions
-    /// in id order — the same [`assemble_trace`] the offline runners use,
-    /// so a registry that mirrors an offline experiment yields its exact
-    /// [`ExperimentTrace`].
-    pub fn trace(&self, selector: String) -> ExperimentTrace {
-        let series: Vec<EntitySeries> =
-            self.sessions.values().map(|s| s.series().clone()).collect();
-        assemble_trace(&series, selector)
-    }
-
-    /// Aggregate metrics over all sessions.
-    pub fn metrics(&self) -> RegistryMetrics {
-        let mut m = RegistryMetrics {
-            sessions: self.sessions.len() as u64,
-            open_rounds: 0,
-            rounds: 0,
-            judgments: 0,
-            remaining: 0,
-            utility: 0.0,
-        };
-        for s in self.sessions.values() {
-            m.open_rounds += u64::from(s.has_open_round());
-            m.rounds += s.rounds() as u64;
-            m.judgments += s.spent() as u64;
-            m.remaining += s.remaining() as u64;
-            m.utility += s.utility();
-        }
-        m
-    }
-
-    /// Serialises every session plus the master RNG state.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            master_state: self.master.state(),
-            next_index: self.next_index,
-            defaults: self.defaults,
-            sessions: self
-                .sessions
-                .iter()
-                .map(|(&session, state)| NumberedSnapshot {
-                    session,
-                    snapshot: state.snapshot(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a registry from a snapshot on the given pool.
-    pub fn from_snapshot(snap: RegistrySnapshot, pool: Pool) -> Result<SessionRegistry, CoreError> {
-        let mut sessions = BTreeMap::new();
-        for numbered in snap.sessions {
-            sessions.insert(
-                numbered.session,
-                SessionState::from_snapshot(numbered.snapshot)?,
-            );
-        }
-        Ok(SessionRegistry {
-            pool,
-            master: StdRng::from_state(snap.master_state),
-            defaults: snap.defaults,
-            sessions,
-            next_index: snap.next_index,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::Pool;
     use crate::selection::{GreedySelector, RandomSelector};
+    use crate::shard::ShardedRegistry;
     use crowdfusion_jointdist::presets::paper_running_example;
 
     fn example_spec() -> EntitySpec {
@@ -1111,6 +909,14 @@ mod tests {
             SessionState::from_snapshot(snap),
             Err(CoreError::InvalidSnapshot(_))
         ));
+        // A posterior over more facts than the case has: the next select
+        // would index past the case's prompts.
+        let mut snap = good.clone();
+        snap.dist = JointDist::independent(&[0.99, 0.99, 0.5, 0.5, 0.5]).unwrap();
+        assert!(matches!(
+            SessionState::from_snapshot(snap),
+            Err(CoreError::InvalidSnapshot(_))
+        ));
         // The untouched snapshot still restores.
         assert!(SessionState::from_snapshot(good).is_ok());
     }
@@ -1118,7 +924,7 @@ mod tests {
     #[test]
     fn registry_opens_on_the_pool_and_tracks_metrics() {
         let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(3, config, Pool::new(2));
+        let reg = ShardedRegistry::new(3, config, Pool::new(2), 1);
         let opened = reg
             .open_batch(vec![example_spec(), example_spec()], None)
             .unwrap();
@@ -1128,7 +934,11 @@ mod tests {
         assert_ne!(opened[0].answer_seed, opened[1].answer_seed);
         assert_eq!(reg.len(), 2);
         assert!(matches!(
-            reg.get(7),
+            reg.with_session(7, |_| ()),
+            Err(CoreError::UnknownSession { session: 7 })
+        ));
+        assert!(matches!(
+            reg.select(7, &RandomSelector),
             Err(CoreError::UnknownSession { session: 7 })
         ));
         // Drive session 0 one round.
@@ -1150,25 +960,9 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_roundtrips_and_continues_the_seed_schedule() {
-        let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(5, config, Pool::serial());
-        reg.open_batch(vec![example_spec()], None).unwrap();
-        let snap = reg.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let parsed: RegistrySnapshot = serde_json::from_str(&json).unwrap();
-        let mut restored = SessionRegistry::from_snapshot(parsed, Pool::serial()).unwrap();
-        // Opening one more session draws the same seeds in both registries.
-        let a = reg.open_batch(vec![example_spec()], None).unwrap();
-        let b = restored.open_batch(vec![example_spec()], None).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a[0].session, 1);
-    }
-
-    #[test]
     fn evict_removes_the_session_but_not_its_drawn_seeds() {
         let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(5, config, Pool::serial());
+        let reg = ShardedRegistry::new(5, config, Pool::serial(), 1);
         reg.open_batch(vec![example_spec(), example_spec()], None)
             .unwrap();
         let evicted = reg.evict(0).unwrap();
@@ -1180,7 +974,7 @@ mod tests {
         ));
         // Seeds drawn for the evicted session stay drawn: the next open in
         // an evicting registry matches the next open in a non-evicting one.
-        let mut shadow = SessionRegistry::new(5, config, Pool::serial());
+        let shadow = ShardedRegistry::new(5, config, Pool::serial(), 1);
         shadow
             .open_batch(vec![example_spec(), example_spec()], None)
             .unwrap();
@@ -1191,9 +985,25 @@ mod tests {
     }
 
     #[test]
+    fn registry_snapshot_roundtrips_and_continues_the_seed_schedule() {
+        let config = RoundConfig::new(2, 6, 0.8).unwrap();
+        let reg = ShardedRegistry::new(5, config, Pool::serial(), 1);
+        reg.open_batch(vec![example_spec()], None).unwrap();
+        let snap = reg.snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        let parsed: RegistrySnapshot = serde_json::from_str(&json).unwrap();
+        let restored = ShardedRegistry::from_snapshot(parsed, Pool::serial(), 1).unwrap();
+        // Opening one more session draws the same seeds in both registries.
+        let a = reg.open_batch(vec![example_spec()], None).unwrap();
+        let b = restored.open_batch(vec![example_spec()], None).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a[0].session, 1);
+    }
+
+    #[test]
     fn open_batch_is_atomic_on_bad_specs() {
         let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(5, config, Pool::serial());
+        let reg = ShardedRegistry::new(5, config, Pool::serial(), 1);
         let mut bad = example_spec();
         bad.gold.pop();
         assert!(reg.open_batch(vec![example_spec(), bad], None).is_err());
@@ -1201,7 +1011,7 @@ mod tests {
         // The failed open drew no seeds: the next open matches a fresh
         // registry's first.
         let a = reg.open_batch(vec![example_spec()], None).unwrap();
-        let mut fresh = SessionRegistry::new(5, config, Pool::serial());
+        let fresh = ShardedRegistry::new(5, config, Pool::serial(), 1);
         let b = fresh.open_batch(vec![example_spec()], None).unwrap();
         assert_eq!(a, b);
     }

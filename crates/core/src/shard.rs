@@ -1,27 +1,27 @@
-//! Lock-striped session registry: the scale-out serving substrate.
+//! Lock-striped session registry: the one registry behind the serving
+//! daemon and the offline reference replays.
 //!
-//! [`ShardedRegistry`] splits the session map of a
-//! [`SessionRegistry`](crate::session::SessionRegistry) into N shards,
-//! each behind its own mutex, so select/absorb traffic on different
-//! sessions proceeds in parallel. Sessions are hashed to shards by the
-//! cheapest stable function there is — `session_id % shard_count` — which
-//! the determinism story depends on *not at all*: shard placement only
-//! decides which lock serialises a session's operations, never what those
-//! operations compute.
+//! [`ShardedRegistry`] holds many [`SessionState`]s in N shards, each
+//! behind its own mutex, so select/absorb traffic on different sessions
+//! proceeds in parallel. Sessions are hashed to shards by the cheapest
+//! stable function there is — `session_id % shard_count` — which the
+//! determinism story depends on *not at all*: shard placement only decides
+//! which lock serialises a session's operations, never what those
+//! operations compute. A 1-shard registry is the single-map reference the
+//! wider stripings are tested against.
 //!
 //! **Determinism contract.** Everything observable is assembled in
-//! ascending *global session-id* order, exactly the iteration order of the
-//! single-map registry's `BTreeMap`:
+//! ascending *global session-id* order, whatever the shard count:
 //!
 //! * [`ShardedRegistry::snapshot`] merges per-shard sessions into one
-//!   globally id-sorted [`RegistrySnapshot`] — byte-identical to the
-//!   single-registry snapshot, and therefore **shard-count independent**:
-//!   a snapshot taken at 8 shards restores into 2 (or 1) without loss;
+//!   globally id-sorted [`RegistrySnapshot`], which is therefore
+//!   **shard-count independent**: a snapshot taken at 8 shards restores
+//!   into 2 (or 1) without loss;
 //! * [`ShardedRegistry::trace`] and [`ShardedRegistry::metrics`] fold
 //!   sessions in id order, so floating-point sums associate identically;
 //! * the master RNG and session-id counter stay global (one mutex): seeds
 //!   are drawn in open order, the same schedule the offline
-//!   `run_sharded` and the single registry produce.
+//!   `run_sharded` draws for its entities.
 //!
 //! Lock hierarchy (a cycle-free acquisition order): `master` → shard
 //! mutexes in ascending index. Per-session operations take only the
@@ -111,9 +111,8 @@ impl ShardedRegistry {
 
     /// Opens one session per spec: priors built in parallel on the pool,
     /// then ids and `(answer_seed, selector_seed)` pairs drawn from the
-    /// global master RNG in spec order — the identical schedule a
-    /// single-map registry produces. Atomic: a failing spec opens nothing
-    /// and draws no seed.
+    /// global master RNG in spec order — the identical schedule at every
+    /// shard count. Atomic: a failing spec opens nothing and draws no seed.
     pub fn open_batch(
         &self,
         specs: Vec<EntitySpec>,
@@ -230,7 +229,7 @@ impl ShardedRegistry {
     }
 
     /// The registry-wide quality-vs-cost trace, assembled over sessions in
-    /// ascending id order — bit-identical to the single-map registry's.
+    /// ascending id order — bit-identical at every shard count.
     pub fn trace(&self, selector: String) -> ExperimentTrace {
         let mut series: Vec<(u64, EntitySeries)> = Vec::new();
         for shard in &self.shards {
@@ -243,7 +242,7 @@ impl ShardedRegistry {
     }
 
     /// Aggregate metrics, folded in ascending session-id order so the
-    /// floating-point utility sum matches the single-map registry exactly.
+    /// floating-point utility sum is the same at every shard count.
     pub fn metrics(&self) -> RegistryMetrics {
         // (open round?, rounds, spent, remaining, utility) per session id.
         type Counters = (bool, usize, usize, usize, f64);
@@ -282,10 +281,10 @@ impl ShardedRegistry {
         m
     }
 
-    /// Serialises the whole registry. The snapshot is the *single-map*
-    /// wire format ([`RegistrySnapshot`], sessions globally id-sorted):
-    /// shard count is a runtime tuning knob, never a persistence concern,
-    /// so a snapshot taken at any shard count restores at any other.
+    /// Serialises the whole registry ([`RegistrySnapshot`], sessions
+    /// globally id-sorted): shard count is a runtime tuning knob, never a
+    /// persistence concern, so a snapshot taken at any shard count restores
+    /// at any other.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let master = lock(&self.master);
         let mut sessions: Vec<NumberedSnapshot> = Vec::new();
@@ -331,7 +330,6 @@ impl ShardedRegistry {
 mod tests {
     use super::*;
     use crate::selection::GreedySelector;
-    use crate::session::SessionRegistry;
 
     fn specs() -> Vec<EntitySpec> {
         vec![
@@ -349,13 +347,13 @@ mod tests {
         RoundConfig::new(2, 6, 0.8).unwrap()
     }
 
-    /// Drives both registries through the same workload and compares every
-    /// observable surface.
+    /// Drives a 1-shard registry and a wider one through the same workload
+    /// and compares every observable surface.
     #[test]
     fn sharded_registry_matches_the_single_map_registry_bit_for_bit() {
         let selector = GreedySelector::fast();
-        for shard_count in [1usize, 2, 3, 8] {
-            let mut single = SessionRegistry::new(42, config(), Pool::serial());
+        for shard_count in [2usize, 3, 8] {
+            let single = ShardedRegistry::new(42, config(), Pool::serial(), 1);
             let sharded = ShardedRegistry::new(42, config(), Pool::serial(), shard_count);
 
             let a = single.open_batch(specs(), None).unwrap();
@@ -430,8 +428,12 @@ mod tests {
         let shadow = ShardedRegistry::new(11, config(), Pool::serial(), 4);
         sharded.open_batch(specs(), None).unwrap();
         shadow.open_batch(specs(), None).unwrap();
-        sharded.evict(1).unwrap();
-        assert!(sharded.evict(1).is_err());
+        // Eviction hands back the session's final state.
+        assert_eq!(sharded.evict(1).unwrap().name(), "b");
+        assert!(matches!(
+            sharded.evict(1),
+            Err(CoreError::UnknownSession { session: 1 })
+        ));
         assert_eq!(sharded.len(), 2);
         assert_eq!(sharded.ids(), vec![0, 2]);
         // The next open draws the same seeds whether or not an eviction
@@ -474,8 +476,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Reference: the same workload, serially, on a single-map registry.
-        let mut single = SessionRegistry::new(3, config(), Pool::serial());
+        // Reference: the same workload, serially, on a 1-shard registry.
+        let single = ShardedRegistry::new(3, config(), Pool::serial(), 1);
         let many: Vec<EntitySpec> = (0..16)
             .map(|i| {
                 EntitySpec::simple(

@@ -8,21 +8,22 @@
 //! micro-F1 against gold) after each global round.
 //!
 //! [`Experiment::run_sharded`] takes the global round literally: per round,
-//! selection and posterior updates shard across entities on the worker
-//! pool while **all** entities' task sets travel in a single
+//! every entity's [`SessionState`] selects and absorbs on the worker pool
+//! while **all** entities' task sets travel in a single
 //! [`RoundBatch`]/[`CrowdPlatform::publish_batch`] round trip, answered
-//! from per-entity [`AnswerStreams`]. The per-entity protocol
-//! ([`Experiment::run_sharded_per_entity`]) is retained as the
-//! bit-identical reference.
+//! from per-entity [`AnswerStreams`]. The reference it is tested against is
+//! the same entities opened in a [`crate::shard::ShardedRegistry`] and
+//! driven one session at a time from `AnswerReplay` streams
+//! (`crates/core/tests/batched_rounds.rs`).
 
 use crate::error::CoreError;
 use crate::metrics::{ConfusionCounts, QualityPoint};
 use crate::pool::Pool;
-use crate::round::{EntityCase, EntityState, PendingRound, RoundConfig};
+use crate::round::{EntityCase, RoundConfig};
 use crate::selection::TaskSelector;
-use crowdfusion_crowd::{AnswerModel, AnswerStreams, CostLedger, CrowdPlatform, RoundBatch};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use crate::session::{PublishedRound, SelectOutcome, SessionState};
+use crowdfusion_crowd::{AnswerModel, AnswerStreams, CrowdPlatform, RoundBatch};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// A multi-entity CrowdFusion experiment.
@@ -34,10 +35,9 @@ pub struct Experiment {
 
 /// One entity's complete quality series: its prior quality and per-round
 /// quality deltas. This is the unit [`assemble_trace`] aggregates into the
-/// global quality-vs-cost curve; both sharded offline protocols and the
-/// service's session registry ([`crate::session::SessionRegistry`]) produce
-/// it, so identical per-entity rounds yield identical experiment traces no
-/// matter which driver ran them.
+/// global quality-vs-cost curve. Every [`SessionState`] keeps one, so
+/// identical per-entity rounds yield identical experiment traces whether
+/// an offline run or a session registry drove them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct EntitySeries {
     /// Utility of the prior before any crowdsourcing.
@@ -57,13 +57,6 @@ pub struct RoundQuality {
     pub utility: f64,
     /// Confusion counts at this round's posterior.
     pub counts: ConfusionCounts,
-}
-
-/// The entity's confusion counts at its current posterior.
-fn counts_of(state: &EntityState<'_>, case: &EntityCase) -> ConfusionCounts {
-    let mut counts = ConfusionCounts::default();
-    counts.add_marginals(&state.dist.marginals(), case.gold);
-    counts
 }
 
 /// The quality-vs-cost series produced by a run.
@@ -103,78 +96,30 @@ impl Experiment {
         self.config
     }
 
-    /// Runs the experiment with the given selector, crowd platform and
-    /// selector RNG, producing the quality-vs-cost series.
-    pub fn run<M: AnswerModel>(
-        &self,
-        selector: &dyn TaskSelector,
-        platform: &mut CrowdPlatform<M>,
-        rng: &mut dyn RngCore,
-    ) -> Result<ExperimentTrace, CoreError> {
-        let mut states: Vec<EntityState<'_>> = self
-            .cases
-            .iter()
-            .map(|case| EntityState::new(case, self.config))
-            .collect();
-        let mut task_seq = 0u64;
-        let mut points = vec![self.measure(&states, 0)];
-        let mut total_cost = 0usize;
-        loop {
-            let mut progressed = false;
-            for state in &mut states {
-                if let Some(point) = state.step(selector, platform, rng, &mut task_seq)? {
-                    total_cost += point.tasks.len();
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-            points.push(self.measure(&states, total_cost as u64));
-        }
-        Ok(ExperimentTrace {
-            selector: selector.name(),
-            points,
-        })
-    }
-
-    /// The per-entity seed draws shared by both sharded protocols: drawn
-    /// up front in entity order, so the schedule never touches the master
-    /// RNG afterwards and `(platform_seed, selector_seed)` for entity `i`
-    /// is a pure function of the master RNG's state on entry.
-    fn entity_seeds(&self, rng: &mut dyn RngCore) -> Vec<(u64, u64)> {
-        (0..self.cases.len())
-            .map(|_| (rng.next_u64(), rng.next_u64()))
-            .collect()
-    }
-
     /// Runs the experiment with **batched crowd round trips**, sharded
     /// across entities on `pool`.
     ///
     /// This is the paper's round structure taken literally: one global
-    /// round asks every entity's batch at once. Each global round is a
-    /// three-phase cycle:
+    /// round asks every entity's batch at once. Each entity is a
+    /// [`SessionState`] opened with `(answer_seed, selector_seed)` drawn
+    /// from `rng` in entity order and task ids from the block
+    /// `(index << 32)..`, and each global round is a three-phase cycle:
     ///
-    /// 1. **select** (parallel): every live entity picks its round's task
-    ///    set with its own selector RNG stream;
-    /// 2. **collect** (one round trip): the task sets are assembled into a
+    /// 1. **select** (parallel): every live session opens its round;
+    /// 2. **collect** (one round trip): the rounds are assembled into a
     ///    [`RoundBatch`] in entity order and published with a single
     ///    [`CrowdPlatform::publish_batch`] call — `ledger.batches` counts
     ///    exactly one per global round — whose answers come back demuxed
     ///    per entity, drawn from per-entity [`AnswerStreams`];
-    /// 3. **update** (parallel): every entity merges its judgments into
-    ///    its posterior.
+    /// 3. **absorb** (parallel): every session closes its round.
     ///
     /// Every random stream (selector and crowd) is a pure function of the
-    /// entity index and the master RNG's state on entry — identical to the
-    /// streams [`Experiment::run_sharded_per_entity`] derives — so the
-    /// returned trace is **bit-identical to the per-entity protocol and
-    /// identical for any thread count** (the property tests in
-    /// `tests/batched_rounds.rs` pin both equalities down). It differs
-    /// numerically from [`Experiment::run`], which interleaves one shared
-    /// RNG across entities. The trace has the same global-round structure:
-    /// point `r` aggregates every entity's state after `min(r, rounds_i)`
-    /// rounds.
+    /// entity index and the master RNG's state on entry, so the returned
+    /// trace is **identical for any thread count** and identical to a
+    /// session registry seeded like `rng` and driven one session at a
+    /// time (`tests/batched_rounds.rs` pins both equalities down). Point
+    /// `r` of the trace aggregates every entity's state after
+    /// `min(r, rounds_i)` rounds.
     pub fn run_sharded<M: AnswerModel>(
         &self,
         selector: &dyn TaskSelector,
@@ -182,62 +127,53 @@ impl Experiment {
         rng: &mut dyn RngCore,
         pool: &Pool,
     ) -> Result<ExperimentTrace, CoreError> {
-        /// Per-entity driver state carried across global rounds.
-        struct Driver<'a> {
-            state: EntityState<'a>,
-            rng: StdRng,
-            task_seq: u64,
-            /// Selected but not yet answered round (phase 1 → 3 handoff).
-            pending: Option<PendingRound>,
-            /// Demuxed judgments for `pending` (phase 2 → 3 handoff).
-            judgments: Option<Vec<bool>>,
-            series: EntitySeries,
-            done: bool,
+        /// One entity's session plus its handoffs between the phases.
+        struct Driver {
+            state: SessionState,
+            /// Selected, not yet published round (phase 1 → 2).
+            round: Option<PublishedRound>,
+            /// Demuxed `(task id, judgment)` pairs (phase 2 → 3).
+            answers: Option<Vec<(u64, bool)>>,
             /// First error raised on a pool worker; surfaced after the
             /// phase joins (entity order keeps the choice deterministic).
             error: Option<CoreError>,
         }
 
-        let seeds = self.entity_seeds(rng);
+        // Seeds are drawn up front in entity order, so the schedule never
+        // touches the master RNG afterwards.
+        let seeds: Vec<(u64, u64)> = self
+            .cases
+            .iter()
+            .map(|_| (rng.next_u64(), rng.next_u64()))
+            .collect();
         let mut streams = AnswerStreams::from_seeds(seeds.iter().map(|&(p, _)| p));
-        let mut drivers: Vec<Driver<'_>> = self
+        let mut drivers = self
             .cases
             .iter()
             .zip(&seeds)
             .enumerate()
             .map(|(i, (case, &(_, selector_seed)))| {
-                let state = EntityState::new(case, self.config);
-                let series = EntitySeries {
-                    prior_utility: state.dist.utility(),
-                    prior_counts: counts_of(&state, case),
-                    rounds: Vec::new(),
-                };
-                Driver {
+                let state =
+                    SessionState::new(case.clone(), self.config, selector_seed, (i as u64) << 32)?;
+                Ok(Driver {
                     state,
-                    rng: StdRng::seed_from_u64(selector_seed),
-                    task_seq: (i as u64) << 32,
-                    pending: None,
-                    judgments: None,
-                    series,
-                    done: false,
+                    round: None,
+                    answers: None,
                     error: None,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<Vec<Driver>, CoreError>>()?;
         let chunk = pool.chunk_size(drivers.len());
 
         loop {
-            // Phase 1 — select: every live entity prepares its round on
-            // the pool (each driver is touched by exactly one worker).
+            // Phase 1 — select: every live session opens its round on the
+            // pool (each driver is touched by exactly one worker).
             pool.for_each_chunk(&mut drivers, chunk, |_, chunk| {
-                for d in chunk.iter_mut().filter(|d| !d.done) {
-                    match d.state.prepare(selector, &mut d.rng, &mut d.task_seq) {
-                        Ok(Some(pending)) => d.pending = Some(pending),
-                        Ok(None) => d.done = true,
-                        Err(e) => {
-                            d.done = true;
-                            d.error = Some(e);
-                        }
+                for d in chunk.iter_mut() {
+                    match d.state.select(selector) {
+                        Ok(SelectOutcome::Round(round)) => d.round = Some(round),
+                        Ok(SelectOutcome::Exhausted) => {}
+                        Err(e) => d.error = Some(e),
                     }
                 }
             });
@@ -245,44 +181,30 @@ impl Experiment {
                 return Err(e);
             }
 
-            // Phase 2 — collect: one global round trip for every pending
-            // task set, in entity order; demux the answers back.
+            // Phase 2 — collect: one global round trip for every open
+            // round, in entity order; demux the answers back.
             let mut batch = RoundBatch::new();
+            let mut asked = Vec::new();
             for (i, d) in drivers.iter_mut().enumerate() {
-                if let Some(pending) = d.pending.as_mut() {
-                    batch.push_group(
-                        i,
-                        std::mem::take(&mut pending.crowd_tasks),
-                        std::mem::take(&mut pending.truths),
-                    );
+                if let Some(round) = d.round.take() {
+                    let (tasks, truths) = round.into_crowd_batch(self.cases[i].gold);
+                    batch.push_group(i, tasks, truths);
+                    asked.push(i);
                 }
             }
             if batch.is_empty() {
                 break; // every entity exhausted its budget (or selector)
             }
             let demuxed = platform.publish_batch(&batch, &mut streams)?;
-            let mut demuxed = demuxed.into_iter();
-            for d in drivers.iter_mut().filter(|d| d.pending.is_some()) {
-                let answers = demuxed.next().expect("one answer group per pending entity");
-                d.judgments = Some(answers.iter().map(|a| a.value).collect());
+            for (i, answers) in asked.into_iter().zip(demuxed) {
+                drivers[i].answers = Some(answers.iter().map(|a| (a.task.0, a.value)).collect());
             }
 
-            // Phase 3 — update: merge judgments into posteriors on the
-            // pool and close each entity's round bookkeeping.
+            // Phase 3 — absorb: close every open round on the pool.
             pool.for_each_chunk(&mut drivers, chunk, |_, chunk| {
                 for d in chunk.iter_mut() {
-                    let (Some(pending), Some(judgments)) = (d.pending.take(), d.judgments.take())
-                    else {
-                        continue;
-                    };
-                    match d.state.absorb(pending, judgments) {
-                        Ok(point) => d.series.rounds.push(RoundQuality {
-                            cost_delta: point.tasks.len() as u64,
-                            utility: point.utility,
-                            counts: counts_of(&d.state, d.state.case),
-                        }),
-                        Err(e) => {
-                            d.done = true;
+                    if let Some(answers) = d.answers.take() {
+                        if let Err(e) = d.state.absorb(&answers) {
                             d.error = Some(e);
                         }
                     }
@@ -293,102 +215,17 @@ impl Experiment {
             }
         }
 
-        let series: Vec<EntitySeries> = drivers.into_iter().map(|d| d.series).collect();
+        let series: Vec<EntitySeries> = drivers.iter().map(|d| d.state.series().clone()).collect();
         Ok(assemble_trace(&series, selector.name()))
-    }
-
-    /// Runs the experiment sharded across entities on `pool`, with
-    /// **per-entity crowd round trips** — the pre-batching protocol, kept
-    /// as the reference implementation the batched path is property-tested
-    /// against (`tests/batched_rounds.rs`).
-    ///
-    /// Each entity's select–collect–update rounds are independent of every
-    /// other entity's, so entity `i` runs to budget exhaustion on its own
-    /// worker with: a crowd-platform fork seeded from the master RNG
-    /// ([`CrowdPlatform::fork_seeded`]), a selector RNG stream likewise
-    /// derived up front, and task ids from the disjoint block
-    /// `(i << 32)..`. Because every random stream is a pure function of
-    /// the entity index and the master RNG's state on entry, the returned
-    /// trace is **identical for any thread count** and identical to
-    /// [`Experiment::run_sharded`]. The two protocols differ only in the
-    /// ledger: the forks pay one `batches` tick per entity per round
-    /// (folded back into `platform`'s ledger), the batched path exactly
-    /// one per global round.
-    pub fn run_sharded_per_entity<M: AnswerModel + Clone + Sync>(
-        &self,
-        selector: &dyn TaskSelector,
-        platform: &mut CrowdPlatform<M>,
-        rng: &mut dyn RngCore,
-        pool: &Pool,
-    ) -> Result<ExperimentTrace, CoreError> {
-        let seeds = self.entity_seeds(rng);
-        let template: &CrowdPlatform<M> = platform;
-        let config = self.config;
-        let shards: Result<Vec<(EntitySeries, CostLedger)>, CoreError> = pool.map_reduce(
-            self.cases.len(),
-            |i| -> Result<(EntitySeries, CostLedger), CoreError> {
-                let case = &self.cases[i];
-                let (platform_seed, selector_seed) = seeds[i];
-                let mut platform = template.fork_seeded(platform_seed);
-                let mut rng = StdRng::seed_from_u64(selector_seed);
-                let mut task_seq = (i as u64) << 32;
-                let mut state = EntityState::new(case, config);
-                let mut series = EntitySeries {
-                    prior_utility: state.dist.utility(),
-                    prior_counts: counts_of(&state, case),
-                    rounds: Vec::new(),
-                };
-                while let Some(point) =
-                    state.step(selector, &mut platform, &mut rng, &mut task_seq)?
-                {
-                    series.rounds.push(RoundQuality {
-                        cost_delta: point.tasks.len() as u64,
-                        utility: point.utility,
-                        counts: counts_of(&state, case),
-                    });
-                }
-                Ok((series, platform.ledger()))
-            },
-            Ok(Vec::with_capacity(self.cases.len())),
-            |acc: Result<Vec<(EntitySeries, CostLedger)>, CoreError>, shard| {
-                let mut acc = acc?;
-                acc.push(shard?);
-                Ok(acc)
-            },
-        );
-        let shards = shards?;
-        for (_, ledger) in &shards {
-            platform.merge_ledger(*ledger);
-        }
-        let series: Vec<EntitySeries> = shards.into_iter().map(|(s, _)| s).collect();
-        Ok(assemble_trace(&series, selector.name()))
-    }
-
-    /// Computes the summed utility and micro-averaged metrics over all
-    /// entities' current posteriors.
-    fn measure(&self, states: &[EntityState<'_>], cost: u64) -> QualityPoint {
-        let mut utility = 0.0;
-        let mut counts = ConfusionCounts::default();
-        for state in states {
-            utility += state.dist.utility();
-            counts.add_marginals(&state.dist.marginals(), state.case.gold);
-        }
-        QualityPoint {
-            cost,
-            utility,
-            f1: counts.f1(),
-            precision: counts.precision(),
-            recall: counts.recall(),
-        }
     }
 }
 
 /// Reassembles per-entity quality series into the global quality-vs-cost
 /// curve: point `r` aggregates each entity after `min(r, its round count)`
-/// rounds. Shared by both sharded offline protocols and the service's
-/// session registry — identical series therefore yield identical traces,
-/// which is how the service's determinism contract against
-/// [`Experiment::run_sharded`] is checked end to end.
+/// rounds. Shared by [`Experiment::run_sharded`] and the session registry
+/// — identical series therefore yield identical traces, which is how the
+/// service's determinism contract against [`Experiment::run_sharded`] is
+/// checked end to end.
 pub fn assemble_trace(series: &[EntitySeries], selector: String) -> ExperimentTrace {
     let max_rounds = series.iter().map(|s| s.rounds.len()).max().unwrap_or(0);
     let mut points = Vec::with_capacity(max_rounds + 1);
@@ -454,7 +291,9 @@ mod tests {
         let exp = Experiment::new(cases(), config).unwrap();
         let mut p = platform(0.8, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let trace = exp.run(&GreedySelector::fast(), &mut p, &mut rng).unwrap();
+        let trace = exp
+            .run_sharded(&GreedySelector::fast(), &mut p, &mut rng, &Pool::serial())
+            .unwrap();
         assert_eq!(trace.points[0].cost, 0);
         // 2 entities × budget 8 = 16 judgments, 2 per entity per round.
         assert_eq!(trace.last().cost, 16);
@@ -468,7 +307,9 @@ mod tests {
         let exp = Experiment::new(cases(), config).unwrap();
         let mut p = platform(0.9, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        let trace = exp.run(&GreedySelector::fast(), &mut p, &mut rng).unwrap();
+        let trace = exp
+            .run_sharded(&GreedySelector::fast(), &mut p, &mut rng, &Pool::serial())
+            .unwrap();
         let first = &trace.points[0];
         let last = trace.last();
         assert!(last.utility > first.utility + 1.0);
@@ -490,14 +331,14 @@ mod tests {
             let mut p = platform(0.8, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             greedy_sum += exp
-                .run(&GreedySelector::fast(), &mut p, &mut rng)
+                .run_sharded(&GreedySelector::fast(), &mut p, &mut rng, &Pool::serial())
                 .unwrap()
                 .last()
                 .utility;
             let mut p = platform(0.8, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             random_sum += exp
-                .run(&RandomSelector, &mut p, &mut rng)
+                .run_sharded(&RandomSelector, &mut p, &mut rng, &Pool::serial())
                 .unwrap()
                 .last()
                 .utility;
@@ -536,8 +377,9 @@ mod tests {
 
     #[test]
     fn sharded_run_has_serial_trace_structure() {
-        // Same budget accounting and round structure as `run`; the batched
-        // protocol pays exactly one platform round trip per global round.
+        // Every entity spends its whole budget, two tasks a round; the
+        // batched protocol pays exactly one platform round trip per global
+        // round.
         let config = RoundConfig::new(2, 8, 0.8).unwrap();
         let exp = Experiment::new(cases(), config).unwrap();
         let mut p = platform(0.8, 3);
@@ -553,35 +395,6 @@ mod tests {
         for w in trace.points.windows(2) {
             assert!(w[1].cost > w[0].cost);
         }
-    }
-
-    #[test]
-    fn per_entity_protocol_matches_batched_trace_but_pays_per_entity_batches() {
-        let config = RoundConfig::new(2, 8, 0.8).unwrap();
-        let exp = Experiment::new(cases(), config).unwrap();
-        let batched = {
-            let mut p = platform(0.8, 3);
-            let mut rng = StdRng::seed_from_u64(4);
-            let trace = exp
-                .run_sharded(&GreedySelector::fast(), &mut p, &mut rng, &Pool::new(2))
-                .unwrap();
-            (trace, p.ledger())
-        };
-        let per_entity = {
-            let mut p = platform(0.8, 3);
-            let mut rng = StdRng::seed_from_u64(4);
-            let trace = exp
-                .run_sharded_per_entity(&GreedySelector::fast(), &mut p, &mut rng, &Pool::new(2))
-                .unwrap();
-            (trace, p.ledger())
-        };
-        // Identical quality-vs-cost series and judgment spend...
-        assert_eq!(batched.0.points, per_entity.0.points);
-        assert_eq!(batched.1.judgments, per_entity.1.judgments);
-        // ...but the batched protocol collapses 2 entities × 4 rounds of
-        // round trips into 4 global round trips.
-        assert_eq!(per_entity.1.batches, 8);
-        assert_eq!(batched.1.batches, 4);
     }
 
     #[test]
@@ -626,7 +439,9 @@ mod tests {
         let exp = Experiment::new(cases(), config).unwrap();
         let mut p = platform(0.7, 9);
         let mut rng = StdRng::seed_from_u64(10);
-        let trace = exp.run(&RandomSelector, &mut p, &mut rng).unwrap();
+        let trace = exp
+            .run_sharded(&RandomSelector, &mut p, &mut rng, &Pool::serial())
+            .unwrap();
         for w in trace.points.windows(2) {
             assert!(w[1].cost > w[0].cost);
         }

@@ -1,17 +1,17 @@
 //! Property tests for the batched crowd round-trip protocol.
 //!
-//! Two equalities pin down the tentpole's determinism contract:
+//! Two equalities pin down the determinism contract of
+//! [`Experiment::run_sharded`]:
 //!
-//! 1. **Batched == per-entity publishing.** [`Experiment::run_sharded`]
-//!    (one [`RoundBatch`]/`publish_batch` round trip per global round,
-//!    answers demuxed from per-entity streams) must produce the
-//!    bit-identical quality-vs-cost trace to
-//!    [`Experiment::run_sharded_per_entity`] (one platform fork per
-//!    entity, one round trip per entity per round — the pre-batching
-//!    protocol, and therefore also the behaviour of the old scoped
-//!    fork–join pool). Only the ledger's `batches` count may differ:
-//!    exactly one per *global* round versus one per *entity* round.
-//! 2. **Thread invariance on the persistent pool.** Both protocols return
+//! 1. **Batched == per-session replay.** `run_sharded` (one
+//!    [`RoundBatch`](crowdfusion_crowd::RoundBatch)/`publish_batch` round
+//!    trip per global round, answers demuxed from per-entity streams) must
+//!    produce the bit-identical quality-vs-cost trace to the same entities
+//!    opened in a [`ShardedRegistry`] seeded with the run's master seed and
+//!    driven one session at a time: select → [`AnswerReplay::answers`] on
+//!    the session's recorded answer seed → absorb. The batched run pays
+//!    exactly one platform round trip per *global* round.
+//! 2. **Thread invariance on the persistent pool.** `run_sharded` returns
 //!    the identical trace for every thread count, because every random
 //!    stream (selector and crowd) is a pure function of the entity index
 //!    and the master RNG's state on entry — never of scheduling order.
@@ -19,15 +19,21 @@
 //! Both properties are exercised over the full selector matrix the CLI
 //! exposes — `greedy`, `greedy-pre`, `random` — at 1, 2 and 4 threads.
 
+use crowdfusion_core::metrics::QualityPoint;
 use crowdfusion_core::pool::Pool;
 use crowdfusion_core::round::{EntityCase, RoundConfig};
 use crowdfusion_core::selection::{GreedySelector, RandomSelector, TaskSelector};
+use crowdfusion_core::session::{EntitySpec, SelectOutcome};
+use crowdfusion_core::shard::ShardedRegistry;
 use crowdfusion_core::system::Experiment;
-use crowdfusion_crowd::{CostLedger, CrowdPlatform, UniformAccuracy, WorkerPool};
+use crowdfusion_crowd::{AnswerReplay, CostLedger, CrowdPlatform, UniformAccuracy, WorkerPool};
 use crowdfusion_jointdist::{Assignment, JointDist};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Simulated crowd size, shared by the platform and the replays.
+const WORKERS: usize = 8;
 
 /// The CLI's selector matrix (`refine --selector greedy|greedy-pre|random`),
 /// each built on the given pool so its own candidate scans shard too.
@@ -49,56 +55,86 @@ fn selectors(pool: &Pool) -> Vec<(&'static str, Box<dyn TaskSelector>)> {
     ]
 }
 
-/// A deterministic multi-entity experiment derived from `seed`: 3–4 small
-/// independent-fact entities with distinct sizes and gold truths.
-fn experiment_from_seed(seed: u64, pc: f64) -> Experiment {
+/// Deterministic entities derived from `seed`: 3–4 small independent-fact
+/// specs with distinct sizes and gold truths.
+fn specs_from_seed(seed: u64) -> Vec<EntitySpec> {
     let mut gen = StdRng::seed_from_u64(seed);
     let entities = 3 + (seed as usize) % 2;
-    let cases: Vec<EntityCase> = (0..entities)
+    (0..entities)
         .map(|e| {
             let n = 2 + (e + seed as usize) % 3;
             let marginals: Vec<f64> = (0..n).map(|_| gen.gen_range(0.05..0.95)).collect();
-            let gold = Assignment(gen.gen_range(0..(1u64 << n)));
-            EntityCase::simple(
-                format!("e{e}"),
-                JointDist::independent(&marginals).unwrap(),
-                gold,
-            )
+            let gold: Vec<bool> = (0..n).map(|_| gen.gen_bool(0.5)).collect();
+            EntitySpec::simple(format!("e{e}"), marginals, gold)
         })
+        .collect()
+}
+
+/// The experiment over the cases `specs` build.
+fn experiment(specs: &[EntitySpec], pc: f64) -> Experiment {
+    let cases = specs
+        .iter()
+        .map(|s| s.clone().into_case().unwrap())
         .collect();
-    let config = RoundConfig::new(2, 6, pc).unwrap();
-    Experiment::new(cases, config).unwrap()
+    Experiment::new(cases, RoundConfig::new(2, 6, pc).unwrap()).unwrap()
 }
 
 fn platform(pc: f64, seed: u64) -> CrowdPlatform<UniformAccuracy> {
     CrowdPlatform::new(
-        WorkerPool::uniform(8, pc).unwrap(),
+        WorkerPool::uniform(WORKERS, pc).unwrap(),
         UniformAccuracy::new(pc),
         seed,
     )
 }
 
-/// One protocol run: trace points + final ledger.
-type RunOutcome = (Vec<crowdfusion_core::metrics::QualityPoint>, CostLedger);
+/// The master seed of a run derived from `seed`.
+fn master_seed(seed: u64) -> u64 {
+    seed ^ 0x5eed_cafe
+}
 
-fn run_protocol(
+/// One batched run: trace points + final ledger.
+type RunOutcome = (Vec<QualityPoint>, CostLedger);
+
+fn run_batched(
     exp: &Experiment,
     selector: &dyn TaskSelector,
     pc: f64,
     seed: u64,
     pool: &Pool,
-    batched: bool,
 ) -> RunOutcome {
     let mut p = platform(pc, seed);
-    let mut master = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
-    let trace = if batched {
-        exp.run_sharded(selector, &mut p, &mut master, pool)
-            .unwrap()
-    } else {
-        exp.run_sharded_per_entity(selector, &mut p, &mut master, pool)
-            .unwrap()
-    };
+    let mut master = StdRng::seed_from_u64(master_seed(seed));
+    let trace = exp
+        .run_sharded(selector, &mut p, &mut master, pool)
+        .unwrap();
     (trace.points, p.ledger())
+}
+
+/// The reference: a registry seeded with the run's master seed, opened
+/// with the specs `exp` was built from, every session driven to exhaustion
+/// on its own — select, answer from the session's recorded seed, absorb.
+fn per_session_replay(
+    specs: &[EntitySpec],
+    exp: &Experiment,
+    selector: &dyn TaskSelector,
+    pc: f64,
+    seed: u64,
+    pool: &Pool,
+) -> Vec<QualityPoint> {
+    let registry = ShardedRegistry::new(master_seed(seed), exp.config(), pool.clone(), 1);
+    let opened = registry.open_batch(specs.to_vec(), None).unwrap();
+    let workers = WorkerPool::uniform(WORKERS, pc).unwrap();
+    let model = UniformAccuracy::new(pc);
+    for (info, case) in opened.iter().zip(exp.cases()) {
+        let mut replay = AnswerReplay::from_seed(info.answer_seed);
+        while let SelectOutcome::Round(round) = registry.select(info.session, selector).unwrap() {
+            let (tasks, truths) = round.into_crowd_batch(case.gold);
+            let answers = replay.answers(&workers, &model, &tasks, &truths).unwrap();
+            let judgments: Vec<(u64, bool)> = answers.iter().map(|a| (a.task.0, a.value)).collect();
+            registry.absorb(info.session, &judgments).unwrap();
+        }
+    }
+    registry.trace(selector.name()).points
 }
 
 proptest! {
@@ -108,25 +144,23 @@ proptest! {
     fn batched_and_per_entity_protocols_are_bit_identical(
         (seed, pc) in (0u64..1000, 0.6f64..=0.95),
     ) {
-        let exp = experiment_from_seed(seed, pc);
+        let specs = specs_from_seed(seed);
+        let exp = experiment(&specs, pc);
         for threads in [1usize, 2, 4] {
             let pool = Pool::new(threads);
             for (name, selector) in selectors(&pool) {
-                let (batched, batched_ledger) =
-                    run_protocol(&exp, selector.as_ref(), pc, seed, &pool, true);
-                let (per_entity, per_entity_ledger) =
-                    run_protocol(&exp, selector.as_ref(), pc, seed, &pool, false);
+                let (batched, ledger) = run_batched(&exp, selector.as_ref(), pc, seed, &pool);
+                let replayed =
+                    per_session_replay(&specs, &exp, selector.as_ref(), pc, seed, &pool);
                 // Identical quality-vs-cost series and judgment spend...
                 prop_assert_eq!(
-                    &batched, &per_entity,
-                    "{} diverged between protocols at {} threads", name, threads
+                    &batched, &replayed,
+                    "{} diverged from the per-session replay at {} threads", name, threads
                 );
-                prop_assert_eq!(batched_ledger.judgments, per_entity_ledger.judgments);
+                prop_assert_eq!(ledger.judgments, batched.last().unwrap().cost);
                 // ...while the batched protocol pays exactly one round trip
-                // per global round (= trace points minus the prior point)
-                // and the per-entity protocol at least that many.
-                prop_assert_eq!(batched_ledger.batches as usize, batched.len() - 1);
-                prop_assert!(per_entity_ledger.batches >= batched_ledger.batches);
+                // per global round (= trace points minus the prior point).
+                prop_assert_eq!(ledger.batches as usize, batched.len() - 1);
             }
         }
     }
@@ -135,16 +169,16 @@ proptest! {
     fn batched_traces_are_thread_count_invariant(
         (seed, pc) in (0u64..1000, 0.6f64..=0.95),
     ) {
-        let exp = experiment_from_seed(seed, pc);
+        let exp = experiment(&specs_from_seed(seed), pc);
         let reference_pool = Pool::serial();
         let reference: Vec<RunOutcome> = selectors(&reference_pool)
             .iter()
-            .map(|(_, s)| run_protocol(&exp, s.as_ref(), pc, seed, &reference_pool, true))
+            .map(|(_, s)| run_batched(&exp, s.as_ref(), pc, seed, &reference_pool))
             .collect();
         for threads in [2usize, 4] {
             let pool = Pool::new(threads);
             for ((name, selector), expect) in selectors(&pool).iter().zip(&reference) {
-                let got = run_protocol(&exp, selector.as_ref(), pc, seed, &pool, true);
+                let got = run_batched(&exp, selector.as_ref(), pc, seed, &pool);
                 prop_assert_eq!(
                     &got, expect,
                     "{} not thread-invariant at {} threads", name, threads
@@ -154,10 +188,10 @@ proptest! {
     }
 }
 
-/// Non-proptest sanity check on the paper's running example: the batched
-/// protocol reproduces the per-entity trace point for point, and one pool
+/// Non-proptest sanity check on the paper's running example: one pool
 /// serves nested submissions (sharded entities whose selectors also shard
-/// their candidate scans on the same workers).
+/// their candidate scans on the same workers) and reproduces the serial
+/// trace point for point, one platform round trip per global round.
 #[test]
 fn running_example_batched_rounds_reuse_one_pool() {
     let cases = vec![
@@ -172,10 +206,9 @@ fn running_example_batched_rounds_reuse_one_pool() {
     let exp = Experiment::new(cases, config).unwrap();
     let pool = Pool::new(4);
     let selector = GreedySelector::fast().with_pool(pool.clone());
-    let (batched, batched_ledger) = run_protocol(&exp, &selector, 0.8, 3, &pool, true);
-    let (per_entity, per_entity_ledger) = run_protocol(&exp, &selector, 0.8, 3, &pool, false);
-    assert_eq!(batched, per_entity);
-    assert_eq!(batched_ledger.judgments, 16);
-    assert_eq!(batched_ledger.batches, 4); // one per global round
-    assert_eq!(per_entity_ledger.batches, 8); // one per entity per round
+    let (pooled, ledger) = run_batched(&exp, &selector, 0.8, 3, &pool);
+    let (serial, _) = run_batched(&exp, &GreedySelector::fast(), 0.8, 3, &Pool::serial());
+    assert_eq!(pooled, serial);
+    assert_eq!(ledger.judgments, 16);
+    assert_eq!(ledger.batches, 4); // one per global round
 }

@@ -307,7 +307,8 @@ mod tests {
     use crate::journal::Effect;
     use crowdfusion_core::pool::Pool;
     use crowdfusion_core::round::RoundConfig;
-    use crowdfusion_core::session::{EntitySpec, SessionRegistry};
+    use crowdfusion_core::session::EntitySpec;
+    use crowdfusion_core::shard::ShardedRegistry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -323,7 +324,7 @@ mod tests {
     }
 
     fn sample_snapshot(applied_seq: u64) -> DurableSnapshot {
-        let mut reg = SessionRegistry::new(3, RoundConfig::new(2, 6, 0.8).unwrap(), Pool::serial());
+        let reg = ShardedRegistry::new(3, RoundConfig::new(2, 6, 0.8).unwrap(), Pool::serial(), 1);
         reg.open_batch(
             vec![EntitySpec::simple("b", vec![0.4, 0.6], vec![true, false])],
             None,

@@ -1827,6 +1827,41 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_posterior_that_does_not_match_its_case() {
+        let dir = temp_dir("mismatch");
+        let svc = service();
+        open_one(&svc, None);
+        let good = dir.join("good.json");
+        assert!(matches!(
+            svc.handle(Request::Snapshot {
+                path: good.to_string_lossy().into_owned(),
+            }),
+            Response::Snapshotted { .. }
+        ));
+        // A 3-fact session whose posterior claims 5 facts: restoring it
+        // would panic on the next select, under the shard lock.
+        let mut snap = snapshot::load(&good).unwrap();
+        snap.sessions[0].snapshot.dist =
+            crowdfusion_jointdist::JointDist::independent(&[0.99, 0.99, 0.5, 0.5, 0.5]).unwrap();
+        let bad = dir.join("bad.json");
+        snapshot::save(&snap, &bad).unwrap();
+        let trace_before = svc.handle(Request::Trace);
+        assert!(matches!(
+            svc.handle(Request::Restore {
+                path: bad.to_string_lossy().into_owned(),
+            }),
+            Response::Error { ref message } if message.contains("posterior")
+        ));
+        // The previous registry keeps serving, untouched.
+        assert_eq!(svc.handle(Request::Trace), trace_before);
+        assert!(matches!(
+            svc.handle(Request::Select { session: 0 }),
+            Response::Round { .. }
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn shutdown_sets_the_flag() {
         let svc = service();
         assert!(!svc.shutdown_requested());

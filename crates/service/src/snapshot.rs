@@ -31,12 +31,13 @@ mod tests {
     use super::*;
     use crowdfusion_core::pool::Pool;
     use crowdfusion_core::round::RoundConfig;
-    use crowdfusion_core::session::{EntitySpec, SessionRegistry};
+    use crowdfusion_core::session::EntitySpec;
+    use crowdfusion_core::shard::ShardedRegistry;
 
     #[test]
     fn snapshot_file_roundtrips() {
         let config = RoundConfig::new(2, 6, 0.8).unwrap();
-        let mut reg = SessionRegistry::new(1, config, Pool::serial());
+        let reg = ShardedRegistry::new(1, config, Pool::serial(), 1);
         reg.open_batch(
             vec![EntitySpec::simple("b", vec![0.4, 0.6], vec![true, false])],
             None,

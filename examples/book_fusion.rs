@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example book_fusion`
 
+use crowdfusion::core::pool::Pool;
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
 use rand::rngs::StdRng;
@@ -57,7 +58,9 @@ fn main() {
             7,
         );
         let mut rng = StdRng::seed_from_u64(7);
-        let trace = experiment.run(selector, &mut platform, &mut rng).unwrap();
+        let trace = experiment
+            .run_sharded(selector, &mut platform, &mut rng, &Pool::serial())
+            .unwrap();
         let first = &trace.points[0];
         let last = trace.last();
         println!("\n== {label} ==");

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example compare_initializers`
 
+use crowdfusion::core::pool::Pool;
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
 use rand::rngs::StdRng;
@@ -49,7 +50,12 @@ fn main() {
         );
         let mut rng = StdRng::seed_from_u64(11);
         let trace = experiment
-            .run(&GreedySelector::fast(), &mut platform, &mut rng)
+            .run_sharded(
+                &GreedySelector::fast(),
+                &mut platform,
+                &mut rng,
+                &Pool::serial(),
+            )
             .unwrap();
         let machine_f1 = trace.points[0].f1;
         let last = trace.last();

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example error_analysis`
 
+use crowdfusion::core::pool::Pool;
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
 use rand::rngs::StdRng;
@@ -31,7 +32,12 @@ fn main() {
     let mut platform = CrowdPlatform::new(WorkerPool::uniform(30, pc).unwrap(), model, 23);
     let mut rng = StdRng::seed_from_u64(23);
     let trace = experiment
-        .run(&GreedySelector::fast(), &mut platform, &mut rng)
+        .run_sharded(
+            &GreedySelector::fast(),
+            &mut platform,
+            &mut rng,
+            &Pool::serial(),
+        )
         .unwrap();
     println!(
         "refined overall F1 = {:.3} (machine-only was {:.3})",

@@ -22,18 +22,15 @@
 //! crowdfusion demo            # the paper's running example
 //! ```
 //!
-//! All commands are pure functions of their arguments (seeded RNG) plus
-//! one environment variable, so runs are reproducible byte for byte:
-//! `refine --threads N` shards entities across the selection engine's
-//! pool without changing results (per-entity RNG streams are derived from
-//! the seed, not the schedule — any `N ≥ 1` is byte-identical). When the
-//! flag is absent, `CROWDFUSION_THREADS` opts into the same sharded
-//! engine; with neither, the legacy serial interleaved run is used, whose
-//! trace differs numerically from the sharded one (different RNG
-//! scheduling, same statistics).
+//! All commands are pure functions of their arguments (seeded RNG), so
+//! runs are reproducible byte for byte. `refine --threads N` (default
+//! `CROWDFUSION_THREADS`, else 1) only sizes the pool the entities are
+//! sharded across: per-entity RNG streams are derived from the seed, not
+//! the schedule, so every thread count yields the same bytes.
 
 use crate::pipeline::entity_cases_from_books;
 use crowdfusion_core::metrics::quality_points_to_csv;
+use crowdfusion_core::pool::Pool;
 use crowdfusion_core::round::RoundConfig;
 use crowdfusion_core::selection::{GreedySelector, RandomSelector, TaskSelector};
 use crowdfusion_core::system::Experiment;
@@ -272,11 +269,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let pc = flags.take("pc", 0.8f64)?;
             let seed = flags.take("seed", 7u64)?;
             // `--threads N` (or, when the flag is absent, the
-            // CROWDFUSION_THREADS environment variable) opts into the
-            // entity-sharded engine. With neither set, the legacy serial
-            // interleaved run is used, so existing invocations reproduce
-            // byte for byte; sharded (any N ≥ 1), results are a pure
-            // function of the seed — identical for every N.
+            // CROWDFUSION_THREADS environment variable) sizes the pool the
+            // entities are sharded across; results are a pure function of
+            // the seed — identical for every N.
             let threads = flags
                 .optional("threads")
                 .map(|raw| {
@@ -288,9 +283,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 .transpose()?
                 .or_else(crowdfusion_core::pool::threads_from_env);
             let selector_name = flags.take("selector", "greedy".to_string())?;
-            // The selector stays serial: with `--threads` the entities
-            // already saturate the pool's workers, and nesting an N-thread
-            // selector inside N entity workers would oversubscribe to ~N².
+            // The selector stays serial: the entities already saturate the
+            // pool's workers, and nesting an N-thread selector inside N
+            // entity workers would oversubscribe to ~N².
             let selector: Box<dyn TaskSelector> = match selector_name.as_str() {
                 "greedy" => Box::new(GreedySelector::fast()),
                 // Algorithm 2 preprocessing; beyond MAX_DENSE_FACTS the
@@ -308,19 +303,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 seed,
             );
             let mut rng = StdRng::seed_from_u64(seed);
-            let trace = match threads {
-                Some(t) => experiment
-                    .run_sharded(
-                        selector.as_ref(),
-                        &mut platform,
-                        &mut rng,
-                        &crowdfusion_core::Pool::new(t),
-                    )
-                    .map_err(|e| e.to_string())?,
-                None => experiment
-                    .run(selector.as_ref(), &mut platform, &mut rng)
-                    .map_err(|e| e.to_string())?,
-            };
+            let pool = threads.map_or_else(Pool::serial, Pool::new);
+            let trace = experiment
+                .run_sharded(selector.as_ref(), &mut platform, &mut rng, &pool)
+                .map_err(|e| e.to_string())?;
             if let Some(out) = flags.optional("out") {
                 write_json(&trace, &out)?;
             }

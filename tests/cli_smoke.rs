@@ -74,6 +74,49 @@ fn malformed_args_are_rejected() {
 }
 
 #[test]
+fn refine_output_ignores_the_thread_setting() {
+    // The thread count only sizes the pool: with CROWDFUSION_THREADS
+    // unset, no flag, `--threads 1` and `--threads 3` write the same CSV.
+    let exe = env!("CARGO_BIN_EXE_crowdfusion");
+    let crowdfusion = |raw: &[&str]| {
+        let out = Command::new(exe)
+            .args(raw)
+            .env_remove("CROWDFUSION_THREADS")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{raw:?} failed: {out:?}");
+    };
+    let books = tmp("threads-books.json");
+    crowdfusion(&[
+        "generate-books",
+        "--out",
+        &books,
+        "--books",
+        "6",
+        "--seed",
+        "11",
+    ]);
+    let csvs: Vec<Vec<u8>> = [&[][..], &["--threads", "1"], &["--threads", "3"]]
+        .iter()
+        .enumerate()
+        .map(|(i, threads)| {
+            let csv = tmp(&format!("threads-{i}.csv"));
+            let mut raw = vec!["refine", "--dataset", &books, "--budget", "8"];
+            raw.extend_from_slice(&["--seed", "3", "--csv", &csv]);
+            raw.extend_from_slice(threads);
+            crowdfusion(&raw);
+            let bytes = std::fs::read(&csv).unwrap();
+            std::fs::remove_file(&csv).ok();
+            bytes
+        })
+        .collect();
+    std::fs::remove_file(&books).ok();
+    assert!(!csvs[0].is_empty());
+    assert_eq!(csvs[0], csvs[1], "no --threads vs --threads 1");
+    assert_eq!(csvs[0], csvs[2], "no --threads vs --threads 3");
+}
+
+#[test]
 fn binary_exit_codes_match_contract() {
     let exe = env!("CARGO_BIN_EXE_crowdfusion");
 

@@ -1,5 +1,6 @@
 //! Integration test: the full dataset → fusion → CrowdFusion pipeline.
 
+use crowdfusion::core::pool::Pool;
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
 use rand::rngs::StdRng;
@@ -25,7 +26,9 @@ fn run_pipeline(selector: &dyn TaskSelector, seed: u64) -> ExperimentTrace {
         seed,
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    experiment.run(selector, &mut platform, &mut rng).unwrap()
+    experiment
+        .run_sharded(selector, &mut platform, &mut rng, &Pool::serial())
+        .unwrap()
 }
 
 #[test]
@@ -113,7 +116,12 @@ fn difficulty_aware_crowd_reduces_final_quality() {
     );
     let mut rng = StdRng::seed_from_u64(13);
     let uniform_trace = experiment
-        .run(&GreedySelector::fast(), &mut uniform_platform, &mut rng)
+        .run_sharded(
+            &GreedySelector::fast(),
+            &mut uniform_platform,
+            &mut rng,
+            &Pool::serial(),
+        )
         .unwrap();
 
     let mut hard_platform = CrowdPlatform::new(
@@ -123,7 +131,12 @@ fn difficulty_aware_crowd_reduces_final_quality() {
     );
     let mut rng = StdRng::seed_from_u64(13);
     let hard_trace = experiment
-        .run(&GreedySelector::fast(), &mut hard_platform, &mut rng)
+        .run_sharded(
+            &GreedySelector::fast(),
+            &mut hard_platform,
+            &mut rng,
+            &Pool::serial(),
+        )
         .unwrap();
 
     assert!(

@@ -4,6 +4,7 @@
 //! executable Theorem 1 reduction.
 
 use crowdfusion::core::hardness::solve_partition;
+use crowdfusion::core::pool::Pool;
 use crowdfusion::crowd::aggregation::em_aggregate;
 use crowdfusion::pipeline::entity_cases_from_books;
 use crowdfusion::prelude::*;
@@ -53,10 +54,11 @@ fn sampled_selector_plugs_into_the_round_driver() {
     );
     let mut rng = StdRng::seed_from_u64(6);
     let trace = experiment
-        .run(
+        .run_sharded(
             &SampledGreedySelector::new(1_500, 2),
             &mut platform,
             &mut rng,
+            &Pool::serial(),
         )
         .unwrap();
     assert_eq!(trace.last().cost, 4 * 10);
