@@ -25,8 +25,8 @@ pub enum CoreError {
     },
     /// An empty task set where at least one task is required.
     EmptyTaskSet,
-    /// Duplicate task indices in one batch (within a round each fact may be
-    /// selected at most once).
+    /// A fact index listed twice where each fact may appear at most once:
+    /// in one round's task batch, or across an entity's correlation groups.
     DuplicateTask(usize),
     /// Mismatched answers/tasks lengths.
     AnswerLengthMismatch {
@@ -71,7 +71,7 @@ impl fmt::Display for CoreError {
                 write!(f, "{requested} facts exceed the dense limit of {limit}")
             }
             CoreError::EmptyTaskSet => write!(f, "task set is empty"),
-            CoreError::DuplicateTask(i) => write!(f, "task {i} selected twice in one round"),
+            CoreError::DuplicateTask(i) => write!(f, "fact index {i} listed twice"),
             CoreError::AnswerLengthMismatch { tasks, answers } => {
                 write!(f, "{tasks} tasks but {answers} answers")
             }

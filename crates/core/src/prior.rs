@@ -77,13 +77,7 @@ pub fn grouped_prior(
     conflict_penalty: f64,
 ) -> Result<JointDist, CoreError> {
     let n = marginals.len();
-    for group in groups {
-        for &idx in group {
-            if idx >= n {
-                return Err(CoreError::TaskOutOfRange { index: idx, n });
-            }
-        }
-    }
+    check_groups(groups, n)?;
     let mut builder = FactorGraphBuilder::new(marginals.to_vec());
     let mut representatives = Vec::new();
     for group in groups {
@@ -121,6 +115,23 @@ pub fn grouped_prior(
             Ok(prior.thin_to(draws)?)
         }
     }
+}
+
+/// Checks that `groups` name each fact of `0..n` at most once — the
+/// partition [`grouped_prior`] requires — failing with
+/// [`CoreError::TaskOutOfRange`] or [`CoreError::DuplicateTask`] for the
+/// first index that breaks it. [`crate::session::EntitySpec::validate`]
+/// runs the same check, so a spec that validates always builds a prior.
+pub(crate) fn check_groups(groups: &[Vec<usize>], n: usize) -> Result<(), CoreError> {
+    let mut seen = vec![false; n];
+    for &idx in groups.iter().flatten() {
+        match seen.get_mut(idx) {
+            None => return Err(CoreError::TaskOutOfRange { index: idx, n }),
+            Some(true) => return Err(CoreError::DuplicateTask(idx)),
+            Some(listed) => *listed = true,
+        }
+    }
+    Ok(())
 }
 
 /// Convenience wrapper using the default penalties.
@@ -178,6 +189,16 @@ mod tests {
             grouped_prior(&[0.5], &[vec![0, 3]], 0.2, 0.3),
             Err(CoreError::TaskOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn repeated_group_members_rejected() {
+        for groups in [vec![vec![1, 1]], vec![vec![0, 1], vec![1, 2]]] {
+            assert_eq!(
+                grouped_prior(&[0.5; 3], &groups, 0.2, 0.3),
+                Err(CoreError::DuplicateTask(1))
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::answers::posterior_in_place;
 use crate::error::CoreError;
 use crate::metrics::ConfusionCounts;
-use crate::prior::default_grouped_prior;
+use crate::prior::{check_groups, default_grouped_prior};
 use crate::round::{EntityCase, RoundConfig, RoundPoint};
 use crate::selection::TaskSelector;
 use crate::system::{EntitySeries, RoundQuality};
@@ -90,7 +90,8 @@ impl EntitySpec {
         }
     }
 
-    /// Validates internal consistency (parallel array lengths).
+    /// Validates internal consistency: parallel array lengths, and
+    /// correlation groups that name each fact at most once.
     pub fn validate(&self) -> Result<(), CoreError> {
         let n = self.marginals.len();
         let ok = |len: usize| len == n || len == 0;
@@ -100,14 +101,7 @@ impl EntitySpec {
                 answers: self.gold.len().min(self.prompts.len()),
             });
         }
-        for group in &self.groups {
-            for &idx in group {
-                if idx >= n {
-                    return Err(CoreError::TaskOutOfRange { index: idx, n });
-                }
-            }
-        }
-        Ok(())
+        check_groups(&self.groups, n)
     }
 
     /// Materialises the spec into an [`EntityCase`]: the prior is built
@@ -755,7 +749,24 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = example_spec();
         bad.groups = vec![vec![0, 9]];
-        assert!(bad.validate().is_err());
+        assert_eq!(
+            bad.validate(),
+            Err(CoreError::TaskOutOfRange { index: 9, n: 4 })
+        );
+        // A fact listed twice, within one group or across two, breaks the
+        // partition the prior needs.
+        for (groups, repeated) in [
+            (vec![vec![2, 2]], 2),
+            (vec![vec![0, 1], vec![1, 2]], 1),
+            (vec![vec![3], vec![0, 3]], 3),
+        ] {
+            bad.groups = groups;
+            assert_eq!(bad.validate(), Err(CoreError::DuplicateTask(repeated)));
+            assert_eq!(
+                bad.clone().into_case().unwrap_err(),
+                CoreError::DuplicateTask(repeated)
+            );
+        }
         let case = example_spec().into_case().unwrap();
         assert_eq!(case.num_facts(), 4);
         case.validate().unwrap();

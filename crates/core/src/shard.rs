@@ -140,13 +140,15 @@ impl ShardedRegistry {
             let id = master.next_index;
             master.next_index += 1;
             let state = SessionState::new(case, config, selector_seed, id << 32)?;
+            // `new` has just measured the prior; entropy is its negation.
+            let utility = state.series().prior_utility;
             opened.push(OpenedSession {
                 session: id,
                 name: state.name().to_string(),
                 facts: state.num_facts(),
                 answer_seed,
-                utility: state.utility(),
-                entropy: state.entropy(),
+                utility,
+                entropy: -utility,
             });
             lock(self.shard_of(id)).insert(id, state);
         }

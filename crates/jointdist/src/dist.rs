@@ -2,6 +2,7 @@
 
 use crate::entropy::entropy_of_probs;
 use crate::error::JointError;
+use crate::factor::FactorGraphBuilder;
 use crate::mask::{Assignment, VarSet};
 use crate::{MAX_DENSE_VARS, PROB_EPSILON};
 use serde::{Deserialize, Serialize};
@@ -31,49 +32,50 @@ impl JointDist {
         n: usize,
         weights: impl IntoIterator<Item = (Assignment, f64)>,
     ) -> Result<JointDist, JointError> {
-        if n > 64 {
-            return Err(JointError::TooManyVariables {
-                requested: n,
-                limit: 64,
-            });
-        }
-        let valid = VarSet::all(n);
+        check_var_count(n)?;
         let mut merged: BTreeMap<Assignment, f64> = BTreeMap::new();
         for (a, w) in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(JointError::InvalidProbability(w));
-            }
-            if a.0 & !valid.0 != 0 {
-                return Err(JointError::VariableOutOfRange {
-                    var: (63 - (a.0 & !valid.0).leading_zeros()) as usize,
-                    n,
-                });
-            }
+            check_entry(n, a, w)?;
             if w > 0.0 {
                 *merged.entry(a).or_insert(0.0) += w;
             }
         }
-        if merged.is_empty() {
+        JointDist::normalised(n, merged.into_iter().collect())
+    }
+
+    /// [`JointDist::from_weights`] for weights whose assignments are
+    /// already strictly increasing — a dense enumeration, a `BTreeMap`
+    /// histogram, or a reweighted support — so no merge is needed. Keeps
+    /// `from_weights`' contract (non-finite or negative weights and bits at
+    /// or above `n` are rejected, zeros dropped) and rejects unsorted or
+    /// duplicate assignments instead of merging them.
+    pub(crate) fn from_sorted_weights(
+        n: usize,
+        mut entries: Vec<(Assignment, f64)>,
+    ) -> Result<JointDist, JointError> {
+        check_var_count(n)?;
+        let mut previous = None;
+        for &(a, w) in &entries {
+            check_entry(n, a, w)?;
+            if previous.is_some_and(|p| p >= a) {
+                return Err(JointError::DegenerateFactor(
+                    "sorted weights need strictly increasing assignments",
+                ));
+            }
+            previous = Some(a);
+        }
+        entries.retain(|&(_, w)| w > 0.0);
+        JointDist::normalised(n, entries)
+    }
+
+    /// Normalises sorted, duplicate-free, strictly positive weights.
+    fn normalised(n: usize, mut entries: Vec<(Assignment, f64)>) -> Result<JointDist, JointError> {
+        if entries.is_empty() {
             return Err(JointError::EmptySupport);
         }
-        let total: f64 = merged.values().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(JointError::ZeroMass);
-        }
-        let entries = merged
-            .into_iter()
-            .filter(|(_, w)| *w / total > PROB_EPSILON)
-            .map(|(a, w)| (a, w / total))
-            .collect::<Vec<_>>();
-        if entries.is_empty() {
-            return Err(JointError::ZeroMass);
-        }
-        // Renormalise after trimming so probabilities still sum to 1.
-        let total: f64 = entries.iter().map(|(_, p)| p).sum();
-        Ok(JointDist {
-            n,
-            entries: entries.into_iter().map(|(a, p)| (a, p / total)).collect(),
-        })
+        let total: f64 = entries.iter().map(|&(_, w)| w).sum();
+        normalise(&mut entries, total)?;
+        Ok(JointDist { n, entries })
     }
 
     /// The uniform distribution over all `2^n` assignments (the paper's
@@ -94,43 +96,9 @@ impl JointDist {
     }
 
     /// A product distribution from independent per-variable marginals
-    /// `P(f_i = true)`.
+    /// `P(f_i = true)`: the factor graph with no factors.
     pub fn independent(marginals: &[f64]) -> Result<JointDist, JointError> {
-        let n = marginals.len();
-        if n > MAX_DENSE_VARS {
-            return Err(JointError::TooManyVariables {
-                requested: n,
-                limit: MAX_DENSE_VARS,
-            });
-        }
-        for (var, &p) in marginals.iter().enumerate() {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(JointError::MarginalOutOfRange { var, value: p });
-            }
-        }
-        // Tensor the marginals one variable at a time.
-        let mut weights = vec![1.0f64];
-        for &p in marginals {
-            let mut next = Vec::with_capacity(weights.len() * 2);
-            for &w in &weights {
-                next.push(w * (1.0 - p));
-            }
-            for &w in &weights {
-                next.push(w * p);
-            }
-            // Reinterleave: assignment bit for this variable is the high bit
-            // of the index, so `next[a]` where a's new high bit selects the
-            // half. Built as [false-half, true-half], which is exactly the
-            // layout of index = (bit << len) | old_index.
-            weights = next;
-        }
-        JointDist::from_weights(
-            n,
-            weights
-                .into_iter()
-                .enumerate()
-                .map(|(a, w)| (Assignment(a as u64), w)),
-        )
+        FactorGraphBuilder::new(marginals.to_vec()).build()
     }
 
     /// A point-mass distribution on a single assignment.
@@ -218,7 +186,7 @@ impl JointDist {
         for &(a, p) in &self.entries {
             *merged.entry(Assignment(a.extract(vars))).or_insert(0.0) += p;
         }
-        JointDist::from_weights(vars.len(), merged)
+        JointDist::from_sorted_weights(vars.len(), merged.into_iter().collect())
     }
 
     /// Thins the support to at most `budget` entries — **growth control**
@@ -264,9 +232,12 @@ impl JointDist {
         &self,
         mut factor: impl FnMut(Assignment) -> f64,
     ) -> Result<JointDist, JointError> {
-        JointDist::from_weights(
+        JointDist::from_sorted_weights(
             self.n,
-            self.entries.iter().map(|&(a, p)| (a, p * factor(a))),
+            self.entries
+                .iter()
+                .map(|&(a, p)| (a, p * factor(a)))
+                .collect(),
         )
         .map_err(|e| match e {
             JointError::EmptySupport => JointError::ZeroMass,
@@ -276,15 +247,13 @@ impl JointDist {
 
     /// In-place [`JointDist::reweight`]: multiplies each entry by
     /// `factor(assignment)`, drops entries whose renormalised probability
-    /// falls below the support threshold, and renormalises — without the
-    /// intermediate `BTreeMap` re-merge of [`JointDist::from_weights`].
+    /// falls below the support threshold, and renormalises — reusing the
+    /// sorted entry vector, which reweighting keeps sorted and
+    /// duplicate-free.
     ///
-    /// The support is already sorted and duplicate-free, and reweighting
-    /// preserves both properties, so the sorted entry vector is reused
-    /// as-is. This is the per-round Bayesian-update fast path: the merge
-    /// of Equation 3 runs every round on every entity, and the re-merge
-    /// dominated its cost. Produces bit-identical results to
-    /// `reweight` (the arithmetic sequence is the same).
+    /// This is the per-round Bayesian-update fast path: the merge of
+    /// Equation 3 runs every round on every entity. Produces bit-identical
+    /// results to `reweight` (the arithmetic sequence is the same).
     ///
     /// On `Err` the distribution may hold partially reweighted,
     /// unnormalised entries and must not be used further; clone first if
@@ -302,23 +271,7 @@ impl JointDist {
             *p = w;
             total += w;
         }
-        if total <= 0.0 || !total.is_finite() {
-            return Err(JointError::ZeroMass);
-        }
-        // Same two-step normalise-trim-renormalise sequence as
-        // `from_weights`, so both paths round identically.
-        self.entries.retain_mut(|(_, p)| {
-            *p /= total;
-            *p > PROB_EPSILON
-        });
-        if self.entries.is_empty() {
-            return Err(JointError::ZeroMass);
-        }
-        let total: f64 = self.entries.iter().map(|&(_, p)| p).sum();
-        for (_, p) in self.entries.iter_mut() {
-            *p /= total;
-        }
-        Ok(())
+        normalise(&mut self.entries, total)
     }
 
     /// Conditions on `f_var = value`, renormalising over the surviving
@@ -390,6 +343,63 @@ impl JointDist {
             .map(|&(a, _)| a)
             .unwrap_or(Assignment::ALL_FALSE)
     }
+}
+
+/// Assignments are `u64` bitmasks: at most 64 variables.
+fn check_var_count(n: usize) -> Result<(), JointError> {
+    if n > 64 {
+        return Err(JointError::TooManyVariables {
+            requested: n,
+            limit: 64,
+        });
+    }
+    Ok(())
+}
+
+/// One raw weight of [`JointDist::from_weights`]: finite, non-negative, and
+/// on no variable at or above `n`.
+fn check_entry(n: usize, a: Assignment, w: f64) -> Result<(), JointError> {
+    if !w.is_finite() || w < 0.0 {
+        return Err(JointError::InvalidProbability(w));
+    }
+    let stray = a.0 & !VarSet::all(n).0;
+    if stray != 0 {
+        return Err(JointError::VariableOutOfRange {
+            var: (63 - stray.leading_zeros()) as usize,
+            n,
+        });
+    }
+    Ok(())
+}
+
+/// The normalise–trim–renormalise sequence every constructor and update
+/// ends with: divide each weight by `total` (the weights' sum, in entry
+/// order), drop the entries at or below [`PROB_EPSILON`], and renormalise
+/// the survivors so they sum to 1. Keeping it in one place keeps every
+/// path rounding identically.
+///
+/// Fails with [`JointError::ZeroMass`] when `total` is not a positive
+/// finite number or every entry is trimmed.
+///
+/// Always inlined: as a call, the per-round update (`reweight_in_place`,
+/// behind every round close) measured ~7% slower at round close.
+#[inline(always)]
+fn normalise(entries: &mut Vec<(Assignment, f64)>, total: f64) -> Result<(), JointError> {
+    if total <= 0.0 || !total.is_finite() {
+        return Err(JointError::ZeroMass);
+    }
+    entries.retain_mut(|(_, p)| {
+        *p /= total;
+        *p > PROB_EPSILON
+    });
+    if entries.is_empty() {
+        return Err(JointError::ZeroMass);
+    }
+    let total: f64 = entries.iter().map(|&(_, p)| p).sum();
+    for (_, p) in entries.iter_mut() {
+        *p /= total;
+    }
+    Ok(())
 }
 
 /// Keeps the `budget` highest-probability entries of a sorted sparse
@@ -494,6 +504,46 @@ mod tests {
             JointDist::from_weights(2, [(Assignment(0), 0.0)]),
             Err(JointError::EmptySupport)
         ));
+    }
+
+    #[test]
+    fn from_sorted_weights_keeps_the_from_weights_contract() {
+        let sorted = |entries: &[(u64, f64)]| {
+            JointDist::from_sorted_weights(
+                2,
+                entries.iter().map(|&(a, w)| (Assignment(a), w)).collect(),
+            )
+        };
+        // Zeros are dropped and the rest normalised exactly like the merge.
+        let raw = [(0, 1.0), (1, 0.0), (2, 3.0), (3, 1e-14)];
+        let d = sorted(&raw).unwrap();
+        assert_eq!(d.support_size(), 2);
+        assert_eq!(
+            d,
+            JointDist::from_weights(2, raw.map(|(a, w)| (Assignment(a), w))).unwrap()
+        );
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                sorted(&[(0, 1.0), (1, bad)]),
+                Err(JointError::InvalidProbability(_))
+            ));
+        }
+        assert_eq!(
+            sorted(&[(0, 1.0), (0b100, 1.0)]),
+            Err(JointError::VariableOutOfRange { var: 2, n: 2 })
+        );
+        assert_eq!(sorted(&[(1, 0.0)]), Err(JointError::EmptySupport));
+        assert!(matches!(
+            JointDist::from_sorted_weights(65, vec![(Assignment(0), 1.0)]),
+            Err(JointError::TooManyVariables { .. })
+        ));
+        // Unsorted or duplicate assignments are an error, never merged.
+        for unsorted in [[(1, 1.0), (0, 1.0)], [(1, 1.0), (1, 2.0)]] {
+            assert!(matches!(
+                sorted(&unsorted),
+                Err(JointError::DegenerateFactor(_))
+            ));
+        }
     }
 
     #[test]

@@ -170,6 +170,93 @@ impl Factor {
     }
 }
 
+/// A factor as the dense build applies it: a lookup table of its weights,
+/// each entry computed by [`Factor::weight`] itself.
+enum FactorTable {
+    /// A group factor's weight depends only on how many of `vars` are
+    /// true: `weights[count]`.
+    Count { vars: u64, weights: Vec<f64> },
+    /// A two-variable factor: `table[(b << 1) | a]`, as for
+    /// [`Factor::Pairwise`].
+    Pair { a: usize, b: usize, table: [f64; 4] },
+}
+
+impl FactorTable {
+    fn new(factor: &Factor) -> FactorTable {
+        match *factor {
+            Factor::AtMostOne { vars, .. }
+            | Factor::ExactlyOne { vars, .. }
+            | Factor::Equivalent { vars, .. } => {
+                // The assignment with the first `count` members true stands
+                // for every assignment with `count` members true.
+                let mut prefix = Assignment::ALL_FALSE;
+                let mut weights = vec![factor.weight(prefix)];
+                for var in vars.iter() {
+                    prefix = prefix.with(var, true);
+                    weights.push(factor.weight(prefix));
+                }
+                FactorTable::Count {
+                    vars: vars.0,
+                    weights,
+                }
+            }
+            Factor::Implies {
+                premise: a,
+                conclusion: b,
+                ..
+            }
+            | Factor::Pairwise { a, b, .. } => FactorTable::Pair {
+                a,
+                b,
+                table: [0, 1, 2, 3].map(|idx| {
+                    factor.weight(
+                        Assignment::ALL_FALSE
+                            .with(a, idx & 1 == 1)
+                            .with(b, idx & 2 == 2),
+                    )
+                }),
+            },
+        }
+    }
+
+    /// Multiplies the weight of assignment `base | lo` into `row[lo]`.
+    fn multiply_row(&self, base: u64, row: &mut [f64]) {
+        match self {
+            FactorTable::Count { vars, weights } => {
+                for (lo, w) in row.iter_mut().enumerate() {
+                    *w *= weights[((base | lo as u64) & vars).count_ones() as usize];
+                }
+            }
+            FactorTable::Pair { a, b, table } => {
+                for (lo, w) in row.iter_mut().enumerate() {
+                    let bits = base | lo as u64;
+                    *w *= table[((bits >> b & 1) << 1 | bits >> a & 1) as usize];
+                }
+            }
+        }
+    }
+}
+
+/// Variables covered by the dense build's unary table (`2^12` products).
+const UNARY_TABLE_VARS: usize = 12;
+
+/// `table[a] = Π_i unary_i(a)` over `marginals`, multiplied left to right
+/// in variable order: tensoring in variable `v` appends the half where it
+/// is true, so index bit `v` is variable `v`.
+fn unary_table(marginals: &[f64]) -> Vec<f64> {
+    let mut table = Vec::with_capacity(1 << marginals.len());
+    table.push(1.0f64);
+    for &p in marginals {
+        let len = table.len();
+        for i in 0..len {
+            let w = table[i];
+            table.push(w * p);
+            table[i] = w * (1.0 - p);
+        }
+    }
+    table
+}
+
 /// Builds a [`JointDist`] from per-variable marginals and soft factors.
 ///
 /// ```
@@ -241,6 +328,15 @@ impl FactorGraphBuilder {
     /// normalised. Fails if `n >` [`MAX_DENSE_VARS`], any marginal is outside
     /// `[0,1]`, any factor is malformed, or hard constraints eliminate every
     /// assignment.
+    ///
+    /// The enumeration streams straight into the sorted support, one row of
+    /// `2^12` assignments at a time: the unary product over the low
+    /// variables comes from one table tensored in variable order, each row
+    /// finishes it over the remaining variables in the same left-to-right
+    /// order, and each factor multiplies in from a table of its weights.
+    /// Every weight therefore sees the same multiplications, in the same
+    /// order, as the per-assignment product — the result is bit-identical
+    /// to it — and nothing but the support itself grows with `2^n`.
     pub fn build(self) -> Result<JointDist, JointError> {
         let n = self.marginals.len();
         if n > MAX_DENSE_VARS {
@@ -250,30 +346,35 @@ impl FactorGraphBuilder {
             });
         }
         self.validate()?;
-        let count = 1u64 << n;
-        let mut weights = Vec::with_capacity(count as usize);
-        for bits in 0..count {
-            let a = Assignment(bits);
-            let mut w = 1.0;
-            for (var, &p) in self.marginals.iter().enumerate() {
-                w *= if a.get(var) { p } else { 1.0 - p };
-                if w == 0.0 {
-                    break;
-                }
+        let low = n.min(UNARY_TABLE_VARS);
+        let unary = unary_table(&self.marginals[..low]);
+        let high: Vec<[f64; 2]> = self.marginals[low..]
+            .iter()
+            .map(|&p| [1.0 - p, p])
+            .collect();
+        let tables: Vec<FactorTable> = self.factors.iter().map(FactorTable::new).collect();
+        let mut row = vec![0.0f64; unary.len()];
+        // Grown as the support fills: the vector becomes the prior, so
+        // reserving all 2^n slots up front would keep them alive with it.
+        let mut weights = Vec::new();
+        for hi in 0..1u64 << (n - low) {
+            let base = hi << low;
+            row.copy_from_slice(&unary);
+            for (j, unary_j) in high.iter().enumerate() {
+                let u = unary_j[(hi >> j & 1) as usize];
+                row.iter_mut().for_each(|w| *w *= u);
             }
-            if w > 0.0 {
-                for f in &self.factors {
-                    w *= f.weight(a);
-                    if w == 0.0 {
-                        break;
-                    }
-                }
+            for table in &tables {
+                table.multiply_row(base, &mut row);
             }
-            if w > 0.0 {
-                weights.push((a, w));
-            }
+            weights.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &w)| w > 0.0)
+                    .map(|(lo, &w)| (Assignment(base | lo as u64), w)),
+            );
         }
-        JointDist::from_weights(n, weights).map_err(|e| match e {
+        JointDist::from_sorted_weights(n, weights).map_err(|e| match e {
             JointError::EmptySupport => JointError::ZeroMass,
             other => other,
         })
@@ -328,7 +429,7 @@ impl FactorGraphBuilder {
                 *support.entry(a).or_insert(0.0) += w;
             }
         }
-        JointDist::from_weights(n, support).map_err(|e| match e {
+        JointDist::from_sorted_weights(n, support.into_iter().collect()).map_err(|e| match e {
             JointError::EmptySupport => JointError::ZeroMass,
             other => other,
         })
@@ -442,18 +543,22 @@ mod tests {
 
     #[test]
     fn conflicting_hard_constraints_yield_zero_mass() {
-        let err = FactorGraphBuilder::new(vec![0.5, 0.5])
-            .factor(Factor::Equivalent {
-                vars: VarSet::from_vars([0, 1]),
-                penalty: 0.0,
-            })
-            .factor(Factor::ExactlyOne {
-                vars: VarSet::from_vars([0, 1]),
-                penalty: 0.0,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, JointError::ZeroMass);
+        // Also across the unary table's boundary: variable 13 is
+        // enumerated row by row, variable 0 inside each row.
+        for (n, pair) in [(2, [0, 1]), (14, [0, 13])] {
+            let err = FactorGraphBuilder::new(vec![0.5; n])
+                .factor(Factor::Equivalent {
+                    vars: VarSet::from_vars(pair),
+                    penalty: 0.0,
+                })
+                .factor(Factor::ExactlyOne {
+                    vars: VarSet::from_vars(pair),
+                    penalty: 0.0,
+                })
+                .build()
+                .unwrap_err();
+            assert_eq!(err, JointError::ZeroMass);
+        }
     }
 
     #[test]

@@ -1760,6 +1760,47 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_repeated_group_members_before_the_journal() {
+        let dir = temp_dir("groups");
+        let mut config = base_config();
+        config.durability = Some(DurabilityConfig::new(&dir));
+        let svc = Service::new(config).unwrap();
+        for (groups, repeated) in [(vec![vec![2, 2]], 2), (vec![vec![0, 1], vec![1, 2]], 1)] {
+            let mut bad = spec();
+            bad.groups = groups;
+            let response = svc.handle(Request::Open {
+                request: Some(9),
+                entities: vec![spec(), bad],
+                k: None,
+                budget: None,
+                pc: None,
+            });
+            let expected = CoreError::DuplicateTask(repeated).to_string();
+            assert!(
+                matches!(response, Response::Error { ref message } if *message == expected),
+                "{response:?}"
+            );
+        }
+        let Response::Metrics { metrics } = svc.handle(Request::Metrics) else {
+            panic!("metrics failed");
+        };
+        assert_eq!(metrics.sessions, 0);
+        drop(svc);
+        let recovered = crate::durable::recover(&dir).unwrap();
+        assert!(recovered
+            .snapshot
+            .is_none_or(|s| s.registry.sessions.is_empty()));
+        assert!(
+            !recovered
+                .replay
+                .iter()
+                .any(|record| matches!(record.effect, Effect::Open { .. })),
+            "{:?}",
+            recovered.replay
+        );
+    }
+
+    #[test]
     fn shutdown_drains_to_a_final_snapshot() {
         let dir = temp_dir("drain");
         let mut config = base_config();
