@@ -10,10 +10,15 @@
 //! scatter cache). `engine_t1` isolates the cache win; `engine_tN` adds
 //! the candidate pool. The PR gate compares `engine_t4/16` against
 //! `butterfly/16`: ≥ 2× required.
+//!
+//! `greedy_posteriors` times the engine on what most selections see: a
+//! posterior two rounds into refinement (12 and 16 dense facts, and a
+//! 32-fact sparse book), where the lazy loop's stale-gain bounds prune
+//! the most. Its `engine_t1` rows ride the same `--filter engine` gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowdfusion_bench::bench_prior;
-use crowdfusion_core::answers::{answer_entropy, AnswerEvaluator};
+use crowdfusion_bench::{bench_prior, large_book_case};
+use crowdfusion_core::answers::{answer_entropy, posterior_in_place, AnswerEvaluator};
 use crowdfusion_core::selection::{GreedySelector, TaskSelector};
 use crowdfusion_jointdist::{JointDist, VarSet};
 use rand::rngs::StdRng;
@@ -78,9 +83,43 @@ fn bench_evaluators(c: &mut Criterion) {
     group.finish();
 }
 
+/// `prior` after two rounds of four greedy picks, answered alternately
+/// true and false at `Pc = 0.8`.
+fn posterior_after_two_rounds(mut dist: JointDist) -> JointDist {
+    for _ in 0..2 {
+        let mut rng = StdRng::seed_from_u64(1);
+        let tasks = GreedySelector::fast()
+            .select(&dist, 0.8, 4, &mut rng)
+            .unwrap();
+        let answers: Vec<bool> = (0..tasks.len()).map(|i| i % 2 == 0).collect();
+        posterior_in_place(&mut dist, &tasks, &answers, 0.8).unwrap();
+    }
+    dist
+}
+
+fn bench_posteriors(c: &mut Criterion) {
+    let mut group = c.benchmark_group("greedy_posteriors");
+    for &n in &[12usize, 16, 32] {
+        let prior = if n == 32 {
+            large_book_case(n, 5).0.prior
+        } else {
+            bench_prior(n, 5)
+        };
+        let dist = posterior_after_two_rounds(prior);
+        let selector = GreedySelector::engine(1);
+        group.bench_with_input(BenchmarkId::new("engine_t1", n), &n, |b, _| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(1);
+                std::hint::black_box(selector.select(&dist, 0.8, 4, &mut rng).unwrap())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_evaluators
+    targets = bench_evaluators, bench_posteriors
 }
 criterion_main!(benches);

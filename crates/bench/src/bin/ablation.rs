@@ -1,8 +1,8 @@
 //! Ablations for the design choices called out in DESIGN.md:
 //!
 //! 1. answer-distribution evaluator: paper-naive vs butterfly transform;
-//! 2. pruning bound: none vs safe vs paper-log vs dominance — time *and*
-//!    selection-quality impact;
+//! 2. pruning bound: none vs safe (lazy evaluation) vs paper-log vs
+//!    dominance — time *and* selection-quality impact;
 //! 3. preprocessing parallelism: serial vs crossbeam-sharded (the paper's
 //!    MapReduce claim);
 //! 4. assumed-vs-true crowd accuracy mismatch (the risk Figure 4 hints at).
@@ -66,7 +66,7 @@ fn main() {
     };
     let h_ref = h_of(&reference);
     for (label, bound) in [
-        ("safe (k−|T|−1 bits)", Some(PruneBound::Safe)),
+        ("safe (lazy, exact)", Some(PruneBound::Safe)),
         ("paper log2(k−|T|−1)", Some(PruneBound::PaperAggressive)),
         ("dominance (slack 0)", Some(PruneBound::Dominance)),
         ("no pruning", None),

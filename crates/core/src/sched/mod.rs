@@ -10,8 +10,8 @@
 //! This module is the deterministic core that both callers share:
 //!
 //! - [`entity_gain`] — the marginal gain of the best next judgment for one
-//!   entity, computed from [`crate::selection::ScatterCache`] so it works
-//!   on sparse supports far beyond the dense `2^n` limit;
+//!   entity, from one pass over its support, so it works on sparse
+//!   supports far beyond the dense `2^n` limit;
 //! - [`GainQueue`] — a priority queue over sessions ordered by
 //!   `(gain_bits desc, session_id asc)`, the scheduler's admission order;
 //! - [`BudgetLedger`] — the spent/remaining accounting that rides the
@@ -30,8 +30,8 @@ pub use ledger::{BudgetLedger, LedgerError};
 pub use queue::{gain_bits, gain_from_bits, GainEntry, GainQueue};
 
 use crate::error::CoreError;
-use crate::selection::ScatterCache;
-use crowdfusion_jointdist::JointDist;
+use crate::selection::engine::single_task_entropies;
+use crowdfusion_jointdist::{binary_entropy, JointDist};
 
 /// The best `(fact, gain)` the crowd could be asked next for an entity in
 /// state `dist`: `gain = H({f}) − H(Pc)` bits of mutual information,
@@ -39,13 +39,23 @@ use crowdfusion_jointdist::JointDist;
 /// fact index. `None` for a zero-fact entity.
 ///
 /// The one gain function behind both [`crate::allocation::run_global`] and
-/// the daemon's global scheduler, evaluated through the [`ScatterCache`]
-/// incremental-gain hook so it is exact on sparse supports too.
+/// the daemon's global scheduler. Every `H({f})` comes from one pass over
+/// the support — the same single-task entropies, bit for bit, that the
+/// greedy selector's first step reads — so it costs `O(|O| · popcount)`
+/// and is exact on sparse supports too.
 pub fn entity_gain(dist: &JointDist, pc: f64) -> Result<Option<(usize, f64)>, CoreError> {
     crate::validate_pc(pc)?;
-    let cache = ScatterCache::new(dist);
-    let mut scratch = Vec::new();
-    Ok(cache.best_marginal_gain(dist.num_vars(), pc, &mut scratch))
+    let noise = binary_entropy(pc);
+    let entropies = single_task_entropies(dist.iter().map(|(a, p)| (a.0, p)), dist.num_vars(), pc);
+    let mut best: Option<(usize, f64)> = None;
+    for (f, h) in entropies.into_iter().enumerate() {
+        let gain = (h - noise).max(0.0);
+        match best {
+            Some((_, g)) if gain <= g => {}
+            _ => best = Some((f, gain)),
+        }
+    }
+    Ok(best)
 }
 
 #[cfg(test)]

@@ -136,47 +136,20 @@ impl ScatterCache {
     /// across candidates; its contents are irrelevant on entry.
     pub fn candidate_entropy(&self, f: usize, pc: f64, scratch: &mut Vec<f64>) -> f64 {
         self.split_true_half(f, pc, scratch);
-        let q = 1.0 - pc;
-        entropy_of_probs(scratch.iter().zip(&self.y).flat_map(|(&y1, &yt)| {
-            // Tiny negative round-off from the subtraction is clamped by
-            // the 0·log 0 convention inside `entropy_of_probs`.
-            let y0 = yt - y1;
-            [pc * y0 + q * y1, q * y0 + pc * y1]
-        }))
+        extended_entropy(scratch, &self.y, pc)
     }
 
-    /// `H(T)` of the currently committed task set, in bits — the cached
-    /// transform *is* the answer distribution over `T`, so this is one
-    /// pass over `y` with no scatter work.
-    pub fn committed_entropy(&self) -> f64 {
-        entropy_of_probs(self.y.iter().copied())
-    }
-
-    /// The incremental-gain hook behind the cross-session scheduler: the
-    /// best `(fact, gain)` over `0..num_facts` where
-    /// `gain = H(T ∪ {f}) − H(T) − H(Pc)`, clamped at zero — the mutual
-    /// information the next answer on `f` would buy beyond channel noise
-    /// (at depth 0 this is the single-task gain `H({f}) − H(Pc)`, evaluated
-    /// on the cache so sparse supports beyond the dense limit work too).
-    ///
-    /// Ties break on the lowest fact index, making the result a pure
-    /// function of the distribution. Returns `None` for zero facts.
-    pub fn best_marginal_gain(
-        &self,
-        num_facts: usize,
-        pc: f64,
-        scratch: &mut Vec<f64>,
-    ) -> Option<(usize, f64)> {
-        let base = self.committed_entropy() + crowdfusion_jointdist::binary_entropy(pc);
-        let mut best: Option<(usize, f64)> = None;
-        for f in 0..num_facts {
-            let gain = (self.candidate_entropy(f, pc, scratch) - base).max(0.0);
-            match best {
-                Some((_, g)) if gain <= g => {}
-                _ => best = Some((f, gain)),
-            }
-        }
-        best
+    /// `H({f})` for every `f < num_facts` of an empty-`T` cache, from one
+    /// pass over the support: bit for bit the depth-0
+    /// [`ScatterCache::candidate_entropy`] of each fact, at the cost of
+    /// one of them. See [`single_task_entropies`].
+    pub(crate) fn single_task_entropies(&self, num_facts: usize, pc: f64) -> Vec<f64> {
+        debug_assert_eq!(self.depth, 0, "single-task entropies need an empty T");
+        single_task_entropies(
+            self.bits.iter().copied().zip(self.probs.iter().copied()),
+            num_facts,
+            pc,
+        )
     }
 
     /// Commits fact `f` as the round's winner: extends the cached
@@ -200,6 +173,47 @@ impl ScatterCache {
         }
         self.depth += 1;
     }
+}
+
+/// `H({f})` in bits for every `f < num_facts`, from one pass over a
+/// support of `(assignment bits, probability)` pairs.
+///
+/// The true-mass sum of each fact collects the same additions, in the
+/// same support order and from the same `0.0`, as the depth-0 bucket
+/// split of [`ScatterCache::candidate_entropy`], and goes through the same
+/// channel combine — so each entropy is bit-identical to scoring that
+/// fact alone, while the support is walked once instead of once per fact.
+pub(crate) fn single_task_entropies(
+    support: impl IntoIterator<Item = (u64, f64)>,
+    num_facts: usize,
+    pc: f64,
+) -> Vec<f64> {
+    let mut true_mass = [0.0f64; 64];
+    for (bits, p) in support {
+        let mut rest = bits;
+        while rest != 0 {
+            true_mass[rest.trailing_zeros() as usize] += p;
+            rest &= rest - 1;
+        }
+    }
+    true_mass[..num_facts]
+        .iter()
+        .map(|&y1| extended_entropy(&[y1], &[1.0], pc))
+        .collect()
+}
+
+/// The single-bit channel combine that finishes a candidate: the entropy
+/// of the answer distribution over `T ∪ {f}`, from `y1 = B_T w1` (the
+/// `f = true` half) and the committed transform `y` — by linearity of the
+/// transform the `f = false` half is `y − y1`, never recomputed.
+fn extended_entropy(y1: &[f64], y: &[f64], pc: f64) -> f64 {
+    let q = 1.0 - pc;
+    entropy_of_probs(y1.iter().zip(y).flat_map(|(&y1, &yt)| {
+        // Tiny negative round-off from the subtraction is clamped by the
+        // 0·log 0 convention inside `entropy_of_probs`.
+        let y0 = yt - y1;
+        [pc * y0 + q * y1, q * y0 + pc * y1]
+    }))
 }
 
 #[cfg(test)]
@@ -264,6 +278,48 @@ mod tests {
             let got = cache.candidate_entropy(f, 0.8, &mut scratch);
             let want = answer_entropy(&d, VarSet::single(f), 0.8, AnswerEvaluator::Naive).unwrap();
             assert!((got - want).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn one_pass_entropies_are_depth_zero_candidate_entropies_bit_for_bit() {
+        use crate::answers::AnswerTable;
+        let sparse32 = JointDist::from_weights(
+            32,
+            (0..64u64).map(|i| {
+                (
+                    Assignment(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & 0xFFFF_FFFF),
+                    1.0 + (i % 7) as f64,
+                )
+            }),
+        )
+        .unwrap();
+        for d in [
+            paper_running_example(),
+            random_dist(6, 9),
+            random_dist(10, 11),
+            sparse32,
+        ] {
+            let n = d.num_vars();
+            for pc in [0.6, 0.8, 0.95, 1.0] {
+                let mut caches = vec![(ScatterCache::new(&d), pc)];
+                caches.push(ScatterCache::from_table(
+                    &AnswerTable::sparse(&d, pc).unwrap(),
+                ));
+                if n <= 12 {
+                    let dense = AnswerTable::dense(&d, pc, AnswerEvaluator::Butterfly).unwrap();
+                    caches.push(ScatterCache::from_table(&dense));
+                }
+                let mut scratch = Vec::new();
+                for (cache, pc) in &caches {
+                    let one_pass = cache.single_task_entropies(n, *pc);
+                    assert_eq!(one_pass.len(), n);
+                    for (f, h) in one_pass.into_iter().enumerate() {
+                        let want = cache.candidate_entropy(f, *pc, &mut scratch);
+                        assert_eq!(h.to_bits(), want.to_bits(), "n {n} pc {pc} fact {f}");
+                    }
+                }
+            }
         }
     }
 

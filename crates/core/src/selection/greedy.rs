@@ -3,11 +3,13 @@
 //! answer tables), and the selection engine's cached-scatter + pooled
 //! evaluation fast path.
 //!
-//! All configurations share one pooled greedy loop parameterised by a
-//! [`CandidateScorer`]: the paper's brute-force per-candidate evaluation,
-//! the engine's incremental scatter cache (which also serves the sparse
-//! preprocessed path beyond [`crate::MAX_DENSE_FACTS`]), and the dense
-//! Table-IV partition refinement are three scorers behind the same
+//! Every configuration runs one of two pooled greedy loops parameterised
+//! by a [`CandidateScorer`]: the paper's eager loop (no prune bound, or
+//! an unsound Table V bound) or the exact lazy loop ([`PruneBound::Safe`]).
+//! The paper's brute-force per-candidate evaluation, the engine's
+//! incremental scatter cache (which also serves the sparse preprocessed
+//! path beyond [`crate::MAX_DENSE_FACTS`]), and the dense Table-IV
+//! partition refinement are three scorers behind the same
 //! round/prune/early-exit bookkeeping.
 
 use crate::answers::{answer_entropy, AnswerEvaluator, AnswerTable, TableBackend};
@@ -23,21 +25,34 @@ use rand::RngCore;
 /// `ρ ≤ 0` exit with floating-point slack).
 const GAIN_EPSILON: f64 = 1e-12;
 
-/// Upper bound used by the Theorem 3 pruning rule.
+/// How far, in bits, the lazy loop's best fresh gain must clear every
+/// remaining stale bound before it stops re-scoring. Far above the float
+/// round-off by which a fresh gain can exceed its stale bound (at most
+/// 2.4e-12 bits measured on 65 536-entry supports, where a gain that is
+/// constant in exact arithmetic drifts with summation order), so a
+/// candidate left stale can neither beat nor tie the winner — see
+/// [`GreedySelector::lazy_loop`].
+const TIE_WINDOW: f64 = 1e-9;
+
+/// Pruning rule of the greedy loop.
 ///
-/// After a round's candidates are all evaluated, a fact `f` is pruned for
-/// the rest of the selection when `H(T ∪ {f}) + slack < max_t H(T ∪ {t})`,
-/// where `slack` bounds the extra entropy any future picks `S` (with
-/// `|S| = k − |T| − 1`) can contribute. Pruning compares against the
+/// The two unsound Table V bounds prune a fact `f` for the rest of the
+/// selection once a round is evaluated and `H(T ∪ {f}) + slack < max_t
+/// H(T ∪ {t})`, where `slack` is the bound's guess at the entropy the
+/// `k − |T| − 1` future picks can add. Pruning compares against the
 /// round's final maximum (not a running best), so the pruned set is
 /// independent of candidate evaluation order — the invariant that lets the
 /// engine shard candidates across threads and still return bit-identical
 /// selections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneBound {
-    /// The information-theoretically safe bound `H(S) ≤ k − |T| − 1` bits
-    /// (each answer variable is binary). With this bound pruned greedy
-    /// provably returns the same selection as unpruned greedy.
+    /// Exact lazy evaluation (Minoux's accelerated greedy). Answer
+    /// entropy is submodular, so a candidate's gain at an earlier step
+    /// bounds its gain now: each step re-scores candidates in stale-gain
+    /// order and stops once the best fresh gain clears every remaining
+    /// bound by a 1e-9-bit tie window. Selections are bit-identical to
+    /// unpruned greedy, including the lowest-index tie rule and the
+    /// Theorem 2 early exit. See DESIGN.md §3.
     Safe,
     /// The paper's literal bound `log₂(k − |T| − 1)`. It under-estimates
     /// the possible future gain so selections may differ from unpruned
@@ -53,28 +68,11 @@ pub enum PruneBound {
     Dominance,
 }
 
-impl PruneBound {
-    /// Entropy slack for `remaining` future picks.
-    fn slack(self, remaining: usize) -> f64 {
-        match self {
-            PruneBound::Safe => remaining as f64,
-            PruneBound::PaperAggressive => {
-                if remaining >= 2 {
-                    (remaining as f64).log2()
-                } else {
-                    0.0
-                }
-            }
-            PruneBound::Dominance => 0.0,
-        }
-    }
-}
-
 /// One greedy configuration's per-candidate scoring strategy.
 ///
-/// [`GreedySelector::greedy_loop`] owns the round bookkeeping (pooled
-/// candidate scans, Theorem 3 pruning, forced fills, the Theorem 2 early
-/// exit); implementations own how `H(T ∪ {f})` is computed and what
+/// [`GreedySelector`]'s loops own the round bookkeeping (pooled candidate
+/// scans, lazy re-scoring, Theorem 3 pruning, forced fills, the Theorem 2
+/// early exit); implementations own how `H(T ∪ {f})` is computed and what
 /// state to memoise when a candidate is committed. `score` is `&self` so
 /// candidates shard freely across the pool; `commit` runs serially
 /// between rounds.
@@ -85,6 +83,13 @@ trait CandidateScorer: Sync {
 
     /// Commits fact `f` as the round's winner (memoise `T ← T ∪ {f}`).
     fn commit(&mut self, f: usize);
+
+    /// `H({f})` of every fact `f < n` at once, bit-identical to
+    /// [`CandidateScorer::score`] on an empty `T`, for scorers with a
+    /// cheaper route than `n` separate scores. Only the lazy loop asks.
+    fn single_task_entropies(&self, _n: usize) -> Option<Vec<f64>> {
+        None
+    }
 }
 
 /// The paper's brute-force evaluation: rebuild the answer distribution of
@@ -124,6 +129,10 @@ impl CandidateScorer for EngineScorer {
 
     fn commit(&mut self, f: usize) {
         self.cache.extend(f, self.pc);
+    }
+
+    fn single_task_entropies(&self, n: usize) -> Option<Vec<f64>> {
+        Some(self.cache.single_task_entropies(n, self.pc))
     }
 }
 
@@ -266,27 +275,46 @@ impl GreedySelector {
         self
     }
 
-    /// One greedy round's bookkeeping, shared by both selection paths:
-    /// records evaluated scores into `last_h`, reduces to the best
-    /// `(fact, entropy)` (ties to the lowest fact index), and applies the
-    /// end-of-round Theorem 3 pruning rule.
+    /// Scores every candidate `f` with `skip(f)` false into `scores[f]`
+    /// (`NEG_INFINITY` for the skipped), sharded over the pool.
+    fn scan<S: CandidateScorer>(
+        &self,
+        scorer: &S,
+        scores: &mut [f64],
+        skip: impl Fn(usize) -> bool + Sync,
+    ) {
+        scores.fill(f64::NEG_INFINITY);
+        let chunk = self.pool.chunk_size(scores.len());
+        self.pool.for_each_chunk(scores, chunk, |base, chunk| {
+            let mut scratch = Vec::new();
+            for (offset, slot) in chunk.iter_mut().enumerate() {
+                let f = base + offset;
+                if !skip(f) {
+                    *slot = scorer.score(f, &mut scratch);
+                }
+            }
+        });
+    }
+
+    /// One eager round's bookkeeping: records evaluated scores into
+    /// `last_h`, reduces to the best `(fact, entropy)` (ties to the lowest
+    /// fact index), and applies the end-of-round Theorem 3 pruning rule
+    /// with the given `slack`.
     ///
     /// `scores[f]` is `NEG_INFINITY` for facts not evaluated this round
     /// (already selected or pruned). Returns `(best, forced)`; `forced`
-    /// marks a fill from stale scores after the unsound bounds (paper /
+    /// marks a fill from stale scores after an unsound bound (paper /
     /// dominance) pruned the whole pool even though slots remain — what
     /// keeps the pruned configuration's running time flat in `k`,
-    /// matching the paper's Table V. The safe bound provably never forces.
-    /// Stale scores under-estimate the true `H(T ∪ {f})` (they were
-    /// measured against a smaller `T`), so the Theorem 2 early exit does
-    /// not apply to forced fills.
+    /// matching the paper's Table V. Stale scores under-estimate the true
+    /// `H(T ∪ {f})` (they were measured against a smaller `T`), so the
+    /// Theorem 2 early exit does not apply to forced fills.
     fn reduce_round(
-        &self,
         scores: &[f64],
         selected_set: VarSet,
         pruned: &mut [bool],
         last_h: &mut [f64],
-        remaining_after: usize,
+        slack: Option<f64>,
     ) -> (Option<(usize, f64)>, bool) {
         let mut best: Option<(usize, f64)> = None;
         for (f, &h) in scores.iter().enumerate() {
@@ -298,10 +326,9 @@ impl GreedySelector {
                 }
             }
         }
-        if let (Some(bound), Some((_, best_h))) = (self.prune, best) {
+        if let (Some(slack), Some((_, best_h))) = (slack, best) {
             // Theorem 3 against the round's final maximum. The best fact
             // itself never satisfies `best_h + slack < best_h`.
-            let slack = bound.slack(remaining_after);
             for (f, &h) in scores.iter().enumerate() {
                 if h.is_finite() && h + slack < best_h {
                     pruned[f] = true;
@@ -318,12 +345,37 @@ impl GreedySelector {
         (filled, true)
     }
 
-    /// The shared greedy loop: pooled candidate scans through `scorer`,
-    /// end-of-round pruning, forced fills and the Theorem 2 early exit.
+    /// The greedy loop every configuration runs: lazy for
+    /// [`PruneBound::Safe`], eager otherwise.
+    fn greedy_loop<S: CandidateScorer>(&self, n: usize, k_eff: usize, scorer: S) -> Vec<usize> {
+        let slack: Option<fn(usize) -> f64> = match self.prune {
+            Some(PruneBound::Safe) => return self.lazy_loop(n, k_eff, scorer),
+            Some(PruneBound::PaperAggressive) => Some(|remaining| {
+                if remaining >= 2 {
+                    (remaining as f64).log2()
+                } else {
+                    0.0
+                }
+            }),
+            Some(PruneBound::Dominance) => Some(|_| 0.0),
+            None => None,
+        };
+        self.eager_loop(n, k_eff, scorer, slack)
+    }
+
+    /// The paper's Algorithm 1 as written: every round scores every
+    /// candidate left (pooled), then applies end-of-round pruning with
+    /// `slack(k − |T| − 1)`, forced fills and the Theorem 2 early exit.
     /// Selections are bit-identical for every thread count: candidates
     /// are scored into per-index slots and reduced serially in fact
     /// order.
-    fn greedy_loop<S: CandidateScorer>(&self, n: usize, k_eff: usize, mut scorer: S) -> Vec<usize> {
+    fn eager_loop<S: CandidateScorer>(
+        &self,
+        n: usize,
+        k_eff: usize,
+        mut scorer: S,
+        slack: Option<fn(usize) -> f64>,
+    ) -> Vec<usize> {
         let mut selected = Vec::with_capacity(k_eff);
         let mut selected_set = VarSet::EMPTY;
         let mut pruned = vec![false; n];
@@ -332,38 +384,109 @@ impl GreedySelector {
         let mut scores = vec![f64::NEG_INFINITY; n];
 
         for round in 0..k_eff {
-            scores.fill(f64::NEG_INFINITY);
-            {
-                let scorer = &scorer;
-                let pruned = &pruned;
-                self.pool
-                    .for_each_chunk(&mut scores, self.pool.chunk_size(n), |base, chunk| {
-                        let mut scratch = Vec::new();
-                        for (offset, slot) in chunk.iter_mut().enumerate() {
-                            let f = base + offset;
-                            if selected_set.contains(f) || pruned[f] {
-                                continue;
-                            }
-                            *slot = scorer.score(f, &mut scratch);
-                        }
-                    });
-            }
-            let (best, forced) = self.reduce_round(
+            self.scan(&scorer, &mut scores, |f| {
+                selected_set.contains(f) || pruned[f]
+            });
+            let remaining_after = k_eff - round - 1;
+            let (best, forced) = GreedySelector::reduce_round(
                 &scores,
                 selected_set,
                 &mut pruned,
                 &mut last_h,
-                k_eff - round - 1,
+                slack.map(|slack| slack(remaining_after)),
             );
             let Some((f, h)) = best else { break };
             if !forced && h - h_current <= GAIN_EPSILON {
                 break; // K* < k: no further utility gain (Theorem 2 boundary)
             }
             selected.push(f);
+            if remaining_after == 0 {
+                break; // nothing reads the last pick's memoised state
+            }
             selected_set = selected_set.insert(f);
             scorer.commit(f);
             if !forced {
                 h_current = h;
+            }
+        }
+        selected
+    }
+
+    /// Lazy greedy (Minoux's accelerated greedy), exact.
+    ///
+    /// Step 0 scores every fact — in one pass over the support when the
+    /// scorer can. Later steps visit candidates in stale-gain order (ties
+    /// to the lower fact index) and re-score them in batches of
+    /// [`Pool::threads`], until the best fresh gain beats the largest
+    /// remaining stale gain by more than [`TIE_WINDOW`]. Answer entropy
+    /// is submodular, so a stale gain bounds the candidate's gain now; a
+    /// candidate left stale therefore scores strictly below the best
+    /// fresh one, and the winner — lowest index among exact ties included
+    /// — is the eager loop's, bit for bit, as is the Theorem 2 exit. The
+    /// candidates re-scored depend on the batch size; the selection does
+    /// not.
+    fn lazy_loop<S: CandidateScorer>(&self, n: usize, k_eff: usize, mut scorer: S) -> Vec<usize> {
+        struct Slot {
+            fact: usize,
+            score: f64,
+            scratch: Vec<f64>,
+        }
+
+        // Step 0: `T` is empty, so the scores are the gains.
+        let mut gains = scorer.single_task_entropies(n).unwrap_or_else(|| {
+            let mut scores = vec![f64::NEG_INFINITY; n];
+            self.scan(&scorer, &mut scores, |_| false);
+            scores
+        });
+        let mut best = lowest_argmax(gains.iter().copied().enumerate());
+        let mut selected = Vec::with_capacity(k_eff);
+        let mut h_current = 0.0f64;
+        let mut order: Vec<usize> = (0..n).collect();
+        let batch = self.pool.threads();
+        let mut slots: Vec<Slot> = (0..batch)
+            .map(|_| Slot {
+                fact: 0,
+                score: f64::NEG_INFINITY,
+                scratch: Vec::new(),
+            })
+            .collect();
+
+        while let Some((f, h)) = best {
+            if h - h_current <= GAIN_EPSILON {
+                break; // K* < k: no further utility gain (Theorem 2 boundary)
+            }
+            selected.push(f);
+            if selected.len() == k_eff {
+                break; // nothing reads the last pick's memoised state
+            }
+            scorer.commit(f);
+            h_current = h;
+
+            order.retain(|&g| g != f);
+            order.sort_by(|&a, &b| gains[b].total_cmp(&gains[a]).then(a.cmp(&b)));
+            best = None;
+            for candidates in order.chunks(batch) {
+                if let Some((_, h)) = best {
+                    if h - h_current > gains[candidates[0]] + TIE_WINDOW {
+                        break;
+                    }
+                }
+                let live = &mut slots[..candidates.len()];
+                for (slot, &f) in live.iter_mut().zip(candidates) {
+                    slot.fact = f;
+                }
+                let scorer = &scorer;
+                self.pool.for_each_chunk(live, 1, |_, slot| {
+                    let slot = &mut slot[0];
+                    slot.score = scorer.score(slot.fact, &mut slot.scratch);
+                });
+                for slot in live.iter() {
+                    gains[slot.fact] = slot.score - h_current;
+                }
+                best = lowest_argmax(
+                    best.into_iter()
+                        .chain(live.iter().map(|slot| (slot.fact, slot.score))),
+                );
             }
         }
         selected
@@ -443,6 +566,14 @@ impl GreedySelector {
             }
         })
     }
+}
+
+/// The highest-scoring `(fact, score)`, ties to the lowest fact index.
+fn lowest_argmax(scores: impl IntoIterator<Item = (usize, f64)>) -> Option<(usize, f64)> {
+    scores.into_iter().fold(None, |best, (f, h)| match best {
+        Some((g, best_h)) if h < best_h || (h == best_h && g < f) => best,
+        _ => Some((f, h)),
+    })
 }
 
 impl TaskSelector for GreedySelector {

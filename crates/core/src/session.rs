@@ -501,9 +501,12 @@ impl SessionState {
     /// the exact RNG stream and open round of the snapshotted one.
     ///
     /// Snapshots cross a trust boundary (`Restore` takes a file path), so
-    /// the budget invariants are re-validated: a corrupt or hand-edited
-    /// snapshot must not restore into a state whose round close would
-    /// underflow the budget arithmetic.
+    /// the budget invariants and the posterior's distribution invariants
+    /// are re-validated: a corrupt or hand-edited snapshot must not
+    /// restore into a state whose round close would underflow the budget
+    /// arithmetic, or whose next select scores a support that is not a
+    /// distribution. A valid posterior is restored bit for bit, never
+    /// renormalised.
     pub fn from_snapshot(snap: SessionSnapshot) -> Result<SessionState, CoreError> {
         snap.case.validate()?;
         if let Some(open) = &snap.open {
@@ -518,6 +521,11 @@ impl SessionState {
                 snap.dist.num_vars(),
                 snap.case.num_facts()
             ));
+        }
+        // Selection, gains and utilities all assume a distribution:
+        // sorted unique assignments, non-negative mass summing to 1.
+        if let Err(e) = snap.dist.validate() {
+            return invalid(format!("posterior is not a distribution: {e}"));
         }
         if snap.spent.checked_add(snap.remaining) != Some(snap.config.budget)
             && !(snap.exhausted && snap.remaining == 0 && snap.spent <= snap.config.budget)
@@ -928,6 +936,29 @@ mod tests {
             SessionState::from_snapshot(snap),
             Err(CoreError::InvalidSnapshot(_))
         ));
+        // Posteriors over the right fact count that are not distributions
+        // (unsorted, a duplicate, a bit at n, mass 8, a negative
+        // probability, an empty support): select would serve rounds
+        // scored on them.
+        for entries in [
+            "[[3,0.5],[1,0.5]]",
+            "[[1,0.5],[1,0.5]]",
+            "[[0,0.5],[16,0.5]]",
+            "[[0,4.0],[1,4.0]]",
+            "[[0,1.5],[1,-0.5]]",
+            "[]",
+        ] {
+            let mut snap = good.clone();
+            let json = format!(r#"{{"n":4,"entries":{entries}}}"#);
+            snap.dist = serde_json::from_str(&json).unwrap();
+            assert!(
+                matches!(
+                    SessionState::from_snapshot(snap),
+                    Err(CoreError::InvalidSnapshot(ref reason)) if reason.contains("posterior")
+                ),
+                "{entries} restored"
+            );
+        }
         // The untouched snapshot still restores.
         assert!(SessionState::from_snapshot(good).is_ok());
     }

@@ -7,18 +7,22 @@
 //! reduced serially in fact order; (b) [`Experiment::run_sharded`]
 //! produces the identical trace for 1 and N threads from the same master
 //! seed, because every entity's random streams are a pure function of the
-//! entity index and the master RNG state on entry.
+//! entity index and the master RNG state on entry; (c) the lazy greedy
+//! behind [`PruneBound::Safe`] returns the eager loop's selection bit for
+//! bit on priors, posteriors, sparse supports and tie-heavy inputs.
 
+use crowdfusion_core::answers::posterior_in_place;
 use crowdfusion_core::pool::Pool;
+use crowdfusion_core::prior::default_grouped_prior;
 use crowdfusion_core::round::{EntityCase, RoundConfig};
 use crowdfusion_core::selection::{GreedySelector, PruneBound, TaskSelector};
 use crowdfusion_core::system::Experiment;
-use crowdfusion_core::AnswerEvaluator;
+use crowdfusion_core::{AnswerEvaluator, TableBackend};
 use crowdfusion_crowd::{CrowdPlatform, UniformAccuracy, WorkerPool};
 use crowdfusion_jointdist::{Assignment, JointDist};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Random dense distribution over 2..=6 variables.
 fn arb_dist() -> impl Strategy<Value = JointDist> {
@@ -69,6 +73,56 @@ fn all_configs() -> Vec<GreedySelector> {
 
 fn rng() -> StdRng {
     StdRng::seed_from_u64(0)
+}
+
+/// Correlation groups of 1–4 consecutive facts covering `0..n`, as the
+/// book pipeline groups a book's author-list variants.
+fn book_groups(n: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+    let mut groups = Vec::new();
+    let mut next = 0;
+    while next < n {
+        let size = rng.gen_range(1usize..=4).min(n - next);
+        groups.push((next..next + size).collect());
+        next += size;
+    }
+    groups
+}
+
+/// A book-style grouped prior over `n` facts (dense up to the dense
+/// limit, importance-sampled sparse beyond it).
+fn book_prior(n: usize, rng: &mut StdRng) -> JointDist {
+    let marginals: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..0.95)).collect();
+    default_grouped_prior(&marginals, &book_groups(n, rng)).unwrap()
+}
+
+/// The inputs the lazy greedy must agree with the eager loop on, by
+/// `family`: 0 a book prior of `n` facts; 1 that prior's posterior after
+/// `rounds` rounds of four answers; 2 a 32-fact sparse book prior; 3 the
+/// uniform prior; 4 equal independent marginals; 5 a grouped prior with
+/// equal marginals. The last three are tie-heavy.
+fn lazy_input(family: usize, n: usize, rounds: usize, seed: u64) -> JointDist {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let marginal = [0.3, 0.5, 0.7, 0.9][rng.gen_range(0usize..4)];
+    match family {
+        0 => book_prior(n, &mut rng),
+        1 => {
+            let mut dist = book_prior(n, &mut rng);
+            for _ in 0..rounds {
+                let mut facts: Vec<usize> = (0..n).collect();
+                for i in 0..4 {
+                    let j = rng.gen_range(i..n);
+                    facts.swap(i, j);
+                }
+                let answers: Vec<bool> = (0..4).map(|_| rng.gen_bool(0.5)).collect();
+                posterior_in_place(&mut dist, &facts[..4], &answers, 0.8).unwrap();
+            }
+            dist
+        }
+        2 => book_prior(32, &mut rng),
+        3 => JointDist::uniform(n).unwrap(),
+        4 => JointDist::independent(&vec![marginal; n]).unwrap(),
+        _ => default_grouped_prior(&vec![marginal; n], &book_groups(n, &mut rng)).unwrap(),
+    }
 }
 
 proptest! {
@@ -152,6 +206,40 @@ proptest! {
             let (trace, ledger) = run(threads);
             prop_assert_eq!(&trace.points, &serial_trace.points, "threads = {}", threads);
             prop_assert_eq!(ledger, serial_ledger);
+        }
+    }
+
+    #[test]
+    fn lazy_greedy_matches_the_eager_loop(
+        (family, n, rounds, seed, pc, k) in (
+            0usize..6, 8usize..=16, 1usize..=3, any::<u64>(),
+            (0usize..4).prop_map(|i| [0.6, 0.8, 0.95, 1.0][i]), 1usize..=6,
+        ),
+    ) {
+        // (c) `fast()` runs the lazy loop; the same scorer without a prune
+        // bound runs the eager one. Both the direct path and the
+        // preprocessed path (dense partition refinement and forced-sparse
+        // table) must agree, at 1 and 4 threads.
+        let d = lazy_input(family, n, rounds, seed);
+        let eager = GreedySelector::paper_approx().with_evaluator(AnswerEvaluator::Butterfly);
+        let pairs = [
+            (GreedySelector::fast(), eager.clone()),
+            (GreedySelector::fast().with_preprocess(), eager.clone().with_preprocess()),
+            (
+                GreedySelector::fast().with_preprocess().with_table_backend(TableBackend::Sparse),
+                eager.with_preprocess().with_table_backend(TableBackend::Sparse),
+            ),
+        ];
+        for (lazy, eager) in pairs {
+            for threads in [1usize, 4] {
+                let want = eager.clone().with_threads(threads).select(&d, pc, k, &mut rng()).unwrap();
+                let got = lazy.clone().with_threads(threads).select(&d, pc, k, &mut rng()).unwrap();
+                prop_assert_eq!(
+                    &got, &want,
+                    "{} vs {}: family {} n {} pc {} k {}",
+                    lazy.name(), eager.name(), family, d.num_vars(), pc, k
+                );
+            }
         }
     }
 }

@@ -53,19 +53,31 @@ impl JointDist {
         n: usize,
         mut entries: Vec<(Assignment, f64)>,
     ) -> Result<JointDist, JointError> {
-        check_var_count(n)?;
-        let mut previous = None;
-        for &(a, w) in &entries {
-            check_entry(n, a, w)?;
-            if previous.is_some_and(|p| p >= a) {
-                return Err(JointError::DegenerateFactor(
-                    "sorted weights need strictly increasing assignments",
-                ));
-            }
-            previous = Some(a);
-        }
+        check_sorted_entries(n, &entries)?;
         entries.retain(|&(_, w)| w > 0.0);
         JointDist::normalised(n, entries)
+    }
+
+    /// Checks the invariants every constructor establishes, for a
+    /// distribution that arrived some other way (deserialised from a
+    /// snapshot): the support checks of the sorted-weights constructor
+    /// (at most 64 variables, strictly increasing assignments on no
+    /// variable at or above `n`, finite non-negative probabilities), a
+    /// non-empty support, and a total mass within [`PROB_EPSILON`] of 1.
+    ///
+    /// Never renormalises: a distribution that passes is used bit for bit,
+    /// and one that fails is an error rather than a repaired guess.
+    pub fn validate(&self) -> Result<(), JointError> {
+        check_sorted_entries(self.n, &self.entries)?;
+        if self.entries.is_empty() {
+            return Err(JointError::EmptySupport);
+        }
+        // Entries are finite, so the mass is a number (at worst +inf).
+        let mass = self.total_mass();
+        if (mass - 1.0).abs() > PROB_EPSILON {
+            return Err(JointError::NotNormalised(mass));
+        }
+        Ok(())
     }
 
     /// Normalises sorted, duplicate-free, strictly positive weights.
@@ -356,6 +368,21 @@ fn check_var_count(n: usize) -> Result<(), JointError> {
     Ok(())
 }
 
+/// The support checks of [`JointDist::from_sorted_weights`]: a valid
+/// variable count, then every entry valid and strictly above the last.
+fn check_sorted_entries(n: usize, entries: &[(Assignment, f64)]) -> Result<(), JointError> {
+    check_var_count(n)?;
+    let mut previous = None;
+    for &(a, w) in entries {
+        check_entry(n, a, w)?;
+        if previous.is_some_and(|p| p >= a) {
+            return Err(JointError::UnsortedSupport);
+        }
+        previous = Some(a);
+    }
+    Ok(())
+}
+
 /// One raw weight of [`JointDist::from_weights`]: finite, non-negative, and
 /// on no variable at or above `n`.
 fn check_entry(n: usize, a: Assignment, w: f64) -> Result<(), JointError> {
@@ -539,10 +566,7 @@ mod tests {
         ));
         // Unsorted or duplicate assignments are an error, never merged.
         for unsorted in [[(1, 1.0), (0, 1.0)], [(1, 1.0), (1, 2.0)]] {
-            assert!(matches!(
-                sorted(&unsorted),
-                Err(JointError::DegenerateFactor(_))
-            ));
+            assert_eq!(sorted(&unsorted), Err(JointError::UnsortedSupport));
         }
     }
 
@@ -774,5 +798,45 @@ mod tests {
         let kept: Vec<u64> = a.entries().iter().map(|&(a, _)| a.0).collect();
         assert_eq!(kept, vec![0, 1, 2, 3, 4]);
         assert!((a.total_mass() - 1.0).abs() < crate::PROB_EPSILON);
+    }
+
+    #[test]
+    fn validate_accepts_constructed_and_rejects_broken_supports() {
+        for d in [
+            running_example(),
+            JointDist::uniform(5).unwrap(),
+            JointDist::certain(3, Assignment(0b101)).unwrap(),
+            JointDist::independent(&[0.9, 0.5, 0.1, 0.7]).unwrap(),
+        ] {
+            assert_eq!(d.validate(), Ok(()));
+        }
+        let broken = |entries: &[(u64, f64)]| JointDist {
+            n: 3,
+            entries: entries.iter().map(|&(a, p)| (Assignment(a), p)).collect(),
+        };
+        assert_eq!(
+            broken(&[(3, 0.5), (1, 0.5)]).validate(),
+            Err(JointError::UnsortedSupport)
+        );
+        assert_eq!(
+            broken(&[(1, 0.5), (1, 0.5)]).validate(),
+            Err(JointError::UnsortedSupport)
+        );
+        assert_eq!(
+            broken(&[(0, 0.5), (8, 0.5)]).validate(),
+            Err(JointError::VariableOutOfRange { var: 3, n: 3 })
+        );
+        assert_eq!(
+            broken(&[(0, 4.0), (1, 4.0)]).validate(),
+            Err(JointError::NotNormalised(8.0))
+        );
+        assert_eq!(
+            broken(&[(0, 1.5), (1, -0.5)]).validate(),
+            Err(JointError::InvalidProbability(-0.5))
+        );
+        assert_eq!(broken(&[]).validate(), Err(JointError::EmptySupport));
+        // Round-off within PROB_EPSILON is a distribution; more is not.
+        assert_eq!(broken(&[(0, 0.5), (1, 0.5 + 1e-13)]).validate(), Ok(()));
+        assert!(broken(&[(0, 0.5), (1, 0.5 + 1e-11)]).validate().is_err());
     }
 }

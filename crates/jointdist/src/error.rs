@@ -27,6 +27,11 @@ pub enum JointError {
     ZeroMass,
     /// The distribution has an empty support.
     EmptySupport,
+    /// Support assignments are not strictly increasing (unsorted or
+    /// duplicated).
+    UnsortedSupport,
+    /// The probabilities sum to this mass instead of 1.
+    NotNormalised(f64),
     /// A marginal probability passed to a builder was outside `[0, 1]`.
     MarginalOutOfRange {
         /// Variable whose marginal was invalid.
@@ -53,6 +58,12 @@ impl fmt::Display for JointError {
             }
             JointError::ZeroMass => write!(f, "distribution has zero total mass"),
             JointError::EmptySupport => write!(f, "distribution support is empty"),
+            JointError::UnsortedSupport => {
+                write!(f, "support assignments are not strictly increasing")
+            }
+            JointError::NotNormalised(mass) => {
+                write!(f, "probabilities sum to {mass}, not 1")
+            }
             JointError::MarginalOutOfRange { var, value } => {
                 write!(f, "marginal for variable {var} is {value}, outside [0, 1]")
             }

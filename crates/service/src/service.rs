@@ -1880,19 +1880,41 @@ mod tests {
             Response::Snapshotted { .. }
         ));
         // A 3-fact session whose posterior claims 5 facts: restoring it
-        // would panic on the next select, under the shard lock.
-        let mut snap = snapshot::load(&good).unwrap();
-        snap.sessions[0].snapshot.dist =
-            crowdfusion_jointdist::JointDist::independent(&[0.99, 0.99, 0.5, 0.5, 0.5]).unwrap();
-        let bad = dir.join("bad.json");
-        snapshot::save(&snap, &bad).unwrap();
+        // would panic on the next select, under the shard lock. Then six
+        // 3-fact posteriors that are not distributions (unsorted, a
+        // duplicate, a bit at n, mass 8, a negative probability, an empty
+        // support): each would restore and serve rounds scored on it.
+        let mut bad_posteriors = vec![crowdfusion_jointdist::JointDist::independent(&[
+            0.99, 0.99, 0.5, 0.5, 0.5,
+        ])
+        .unwrap()];
+        for entries in [
+            "[[3,0.5],[1,0.5]]",
+            "[[1,0.5],[1,0.5]]",
+            "[[0,0.5],[8,0.5]]",
+            "[[0,4.0],[1,4.0]]",
+            "[[0,1.5],[1,-0.5]]",
+            "[]",
+        ] {
+            let json = format!(r#"{{"n":3,"entries":{entries}}}"#);
+            bad_posteriors.push(serde_json::from_str(&json).unwrap());
+        }
         let trace_before = svc.handle(Request::Trace);
-        assert!(matches!(
-            svc.handle(Request::Restore {
-                path: bad.to_string_lossy().into_owned(),
-            }),
-            Response::Error { ref message } if message.contains("posterior")
-        ));
+        for posterior in bad_posteriors {
+            let mut snap = snapshot::load(&good).unwrap();
+            snap.sessions[0].snapshot.dist = posterior.clone();
+            let bad = dir.join("bad.json");
+            snapshot::save(&snap, &bad).unwrap();
+            assert!(
+                matches!(
+                    svc.handle(Request::Restore {
+                        path: bad.to_string_lossy().into_owned(),
+                    }),
+                    Response::Error { ref message } if message.contains("posterior")
+                ),
+                "{posterior:?} restored"
+            );
+        }
         // The previous registry keeps serving, untouched.
         assert_eq!(svc.handle(Request::Trace), trace_before);
         assert!(matches!(
