@@ -32,6 +32,9 @@ use std::sync::{Arc, Mutex};
 pub enum FaultPoint {
     /// A journal record is about to be written (before any bytes land).
     JournalAppend,
+    /// Journalled appends are about to be fsynced (checked only when
+    /// appends are pending).
+    JournalSync,
     /// A journaled effect is about to be applied to in-memory state.
     EffectApply,
     /// The snapshot temp file is about to be written.
@@ -49,6 +52,7 @@ impl FaultPoint {
     pub fn name(self) -> &'static str {
         match self {
             FaultPoint::JournalAppend => "journal-append",
+            FaultPoint::JournalSync => "journal-sync",
             FaultPoint::EffectApply => "effect-apply",
             FaultPoint::SnapshotWrite => "snapshot-write",
             FaultPoint::SnapshotRename => "snapshot-rename",

@@ -311,6 +311,7 @@ impl JournalWriter {
         if self.pending == 0 {
             return Ok(());
         }
+        self.faults.crash_if_scheduled(FaultPoint::JournalSync)?;
         self.file.sync_data()?;
         self.pending = 0;
         Ok(())

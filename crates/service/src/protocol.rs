@@ -336,50 +336,48 @@ pub fn decode_framed(line: &str) -> (Framing, Result<Request, Response>) {
             )
         }
     };
-    let Some(version_field) = value.get_field("v") else {
+    let (framing, body) = match value.get_field("v") {
         // No top-level "v": a bare legacy line (request variants are
         // capitalised, so the keys cannot collide).
-        return (
-            Framing::Legacy,
-            decode::<Request>(line).map_err(|message| Response::Error { message }),
-        );
-    };
-    let version = match version_field {
-        Value::Int(v) if *v >= 0 => *v as u64,
-        Value::UInt(v) => *v,
-        other => {
-            return (
-                Framing::Versioned(WIRE_VERSION_MAX),
-                Err(Response::Error {
-                    message: format!("envelope \"v\" must be an integer, got {}", other.kind()),
-                }),
-            )
+        None => (Framing::Legacy, &value),
+        Some(version_field) => {
+            let version = match version_field {
+                Value::Int(v) if *v >= 0 => *v as u64,
+                Value::UInt(v) => *v,
+                other => {
+                    return (
+                        Framing::Versioned(WIRE_VERSION_MAX),
+                        Err(Response::Error {
+                            message: format!(
+                                "envelope \"v\" must be an integer, got {}",
+                                other.kind()
+                            ),
+                        }),
+                    )
+                }
+            };
+            if !version_supported(version) {
+                return (
+                    Framing::Versioned(WIRE_VERSION_MAX),
+                    Err(unsupported_version(version)),
+                );
+            }
+            let framing = Framing::Versioned(version);
+            let Some(body) = value.get_field("body") else {
+                return (
+                    framing,
+                    Err(Response::Error {
+                        message: "envelope is missing its \"body\" field".to_string(),
+                    }),
+                );
+            };
+            (framing, body)
         }
     };
-    if !version_supported(version) {
-        return (
-            Framing::Versioned(WIRE_VERSION_MAX),
-            Err(unsupported_version(version)),
-        );
-    }
-    let framing = Framing::Versioned(version);
-    let Some(body) = value.get_field("body") else {
-        return (
-            framing,
-            Err(Response::Error {
-                message: "envelope is missing its \"body\" field".to_string(),
-            }),
-        );
-    };
-    match Request::from_value(body) {
-        Ok(request) => (framing, Ok(request)),
-        Err(e) => (
-            framing,
-            Err(Response::Error {
-                message: format!("malformed protocol line: {e}"),
-            }),
-        ),
-    }
+    let decoded = Request::from_value(body).map_err(|e| Response::Error {
+        message: format!("malformed protocol line: {e}"),
+    });
+    (framing, decoded)
 }
 
 /// Encodes a response under the framing its request arrived in.
@@ -505,6 +503,24 @@ mod tests {
     fn malformed_lines_are_rejected() {
         assert!(decode::<Request>("{not json").is_err());
         assert!(decode::<Request>("{\"Frobnicate\": {}}").is_err());
+        // Bare lines that parse as JSON but not as a request: the framed
+        // decoder reuses its parsed value, and must still give the error
+        // text a direct decode gives.
+        for line in [
+            r#"{"Frobnicate": {}}"#,
+            r#"{"Select": {"session": "three"}}"#,
+            "[1, 2]",
+        ] {
+            let (framing, decoded) = decode_framed(line);
+            assert_eq!(framing, Framing::Legacy);
+            assert_eq!(
+                decoded.unwrap_err(),
+                Response::Error {
+                    message: decode::<Request>(line).unwrap_err()
+                },
+                "{line}"
+            );
+        }
     }
 
     #[test]

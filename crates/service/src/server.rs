@@ -1,31 +1,35 @@
 //! Transport loops: the daemon over TCP (`std::net`) and over stdio.
 //!
 //! Both speak the same framing — one JSON request per line in, one JSON
-//! response per line out. TCP is served by a small fixed pool of
-//! *reactor* threads driving a readiness event loop (`vendor/polling`,
-//! the epoll/poll stand-in) instead of a thread per connection, so ten
-//! thousand idle sessions cost ten thousand small buffers, not ten
-//! thousand stacks. Reactor 0 owns the listener and deals new
-//! connections round-robin to its peers through waker-poked inboxes;
-//! each connection then lives on one reactor as a line-buffer state
-//! machine. Per-session determinism is untouched by connection
-//! interleaving because every session owns its RNG streams.
+//! response per line out — and both feed the bytes of every read to one
+//! push-based `LineReader`, which owns the whole line contract: lines
+//! accumulate within a bounded buffer (an oversized line is drained and
+//! answered with a protocol error instead of ballooning daemon memory),
+//! invalid UTF-8 gets an error response rather than a disconnect, blank
+//! lines are skipped, an unterminated final line still counts, injected
+//! connection faults are checked once per line event, and no line is
+//! answered once `Shutdown` has been served.
 //!
-//! The loop also implements group commit: all requests decoded from one
-//! readiness batch are handled first (each journalling its effect), then
-//! a single [`Service::flush_wal`] makes the whole batch durable, and
-//! only then are the queued responses flushed to sockets — one fsync
-//! per batch instead of one per request, with no reply ever racing
-//! ahead of its journal record.
+//! TCP is served by a small fixed pool of *reactor* threads driving a
+//! readiness event loop (`vendor/polling`, the epoll/poll stand-in)
+//! instead of a thread per connection, so ten thousand idle sessions cost
+//! ten thousand small buffers, not ten thousand stacks. Reactor 0 owns
+//! the listener and deals new connections round-robin to its peers
+//! through waker-poked inboxes; each connection then lives on one reactor
+//! with its own reader. Per-session determinism is untouched by
+//! connection interleaving because every session owns its RNG streams.
 //!
-//! The reader is hardened against misbehaving peers exactly like the
-//! blocking loop: lines accumulate through a bounded buffer (an
-//! oversized line is drained and answered with a protocol error instead
-//! of ballooning daemon memory), invalid UTF-8 gets an error response
-//! rather than a disconnect, and the optional read deadline is enforced
-//! by the reactors' timer sweep off the service [`Clock`] — not
-//! `SO_RCVTIMEO` — closing connections that go silent mid-session. One
-//! connection's garbage never disturbs another's session state.
+//! Both transports implement group commit: all requests from one batch —
+//! a reactor's readiness round, or one stdio read — are handled first
+//! (each journalling its effect), then a single [`Service::flush_wal`]
+//! makes the whole batch durable, and only then are the batch's replies
+//! written — one fsync per batch instead of one per request, with no
+//! reply ever racing ahead of its journal record.
+//!
+//! The optional read deadline is enforced by the reactors' timer sweep
+//! off the service [`Clock`] — not `SO_RCVTIMEO` — closing connections
+//! that go silent mid-session. One connection's garbage never disturbs
+//! another's session state.
 
 use crate::fault::{FaultAction, FaultPoint};
 use crate::protocol::{Request, Response};
@@ -39,66 +43,120 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// One bounded read off the wire.
-enum LineRead {
-    /// A complete line within the cap (without its newline).
-    Line(Vec<u8>),
-    /// The line exceeded the cap; the excess was drained to its newline.
-    Oversized,
-    /// Clean end of stream.
-    Eof,
+/// What a transport does after feeding a read to its [`LineReader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// Keep reading.
+    Continue,
+    /// Close without delivering the batch's replies — the injected
+    /// network drop.
+    CloseNow,
+    /// Deliver the replies, then close: end of stream, or `Shutdown` was
+    /// served.
+    FlushThenClose,
 }
 
-/// Reads one `\n`-terminated line, never buffering more than `max` bytes.
-/// An over-long line is discarded up to (and including) its newline so the
-/// connection can keep serving subsequent requests.
-fn read_line_bounded(input: &mut impl BufRead, max: usize) -> io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return if line.is_empty() {
-                Ok(LineRead::Eof)
-            } else {
-                // An unterminated final line still counts (stdio pipes).
-                Ok(LineRead::Line(line))
+/// The line contract both transports share, as a push parser: the
+/// transport hands it the bytes of each read, and it answers every line
+/// those bytes complete.
+struct LineReader {
+    /// The line cap in bytes, newline excluded.
+    max: usize,
+    /// Bytes of the current (incomplete) line.
+    line: Vec<u8>,
+    /// The current line passed the cap: discard to its newline, then
+    /// answer with a protocol error.
+    draining: bool,
+}
+
+impl LineReader {
+    fn new(max: usize) -> LineReader {
+        LineReader {
+            max,
+            line: Vec::new(),
+            draining: false,
+        }
+    }
+
+    /// Feeds the bytes of one read (`None` at end of stream), appending
+    /// one reply line per answered request to `out` and counting it in
+    /// `replies`.
+    fn push(
+        &mut self,
+        service: &Service,
+        read: Option<&[u8]>,
+        out: &mut Vec<u8>,
+        replies: &mut usize,
+    ) -> Flow {
+        let Some(mut rest) = read else {
+            // End of stream is one last line event: an unterminated final
+            // line, the error for a drain that EOF cut short, or nothing
+            // pending (skipped like a blank line).
+            return match self.end_line(service, out, replies) {
+                Flow::Continue => Flow::FlushThenClose,
+                flow => flow,
             };
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            if line.len() + pos > max {
-                input.consume(pos + 1);
-                return Ok(LineRead::Oversized);
-            }
-            line.extend_from_slice(&chunk[..pos]);
-            input.consume(pos + 1);
-            return Ok(LineRead::Line(line));
-        }
-        let take = chunk.len();
-        if line.len() + take > max {
-            // Over the cap with no newline in sight: drop what we hold and
-            // drain the rest of the line without accumulating it.
-            line.clear();
-            line.shrink_to_fit();
-            input.consume(take);
-            loop {
-                let chunk = input.fill_buf()?;
-                if chunk.is_empty() {
-                    return Ok(LineRead::Oversized);
-                }
-                match chunk.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        input.consume(pos + 1);
-                        return Ok(LineRead::Oversized);
-                    }
-                    None => {
-                        let len = chunk.len();
-                        input.consume(len);
-                    }
-                }
+        };
+        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+            self.accumulate(&rest[..pos]);
+            rest = &rest[pos + 1..];
+            let flow = self.end_line(service, out, replies);
+            if flow != Flow::Continue {
+                return flow;
             }
         }
-        line.extend_from_slice(chunk);
-        input.consume(take);
+        self.accumulate(rest);
+        Flow::Continue
+    }
+
+    /// Adds bytes to the current line within the cap; past it, drops the
+    /// line and drains to its newline without buffering the flood.
+    fn accumulate(&mut self, bytes: &[u8]) {
+        if self.draining {
+            return;
+        }
+        if self.line.len() + bytes.len() > self.max {
+            self.line = Vec::new();
+            self.draining = true;
+        } else {
+            self.line.extend_from_slice(bytes);
+        }
+    }
+
+    /// Ends the current line: once `Shutdown` has been served, nothing;
+    /// otherwise one fault check, then its reply.
+    fn end_line(&mut self, service: &Service, out: &mut Vec<u8>, replies: &mut usize) -> Flow {
+        if service.shutdown_requested() {
+            return Flow::FlushThenClose;
+        }
+        // Injected connection fault: drop the link as though the network
+        // did, leaving whatever the service already applied in place —
+        // the at-least-once story the client retry layer is tested under.
+        if let Some(FaultAction::Drop) = service.fault_plan().check(FaultPoint::ConnectionRead) {
+            return Flow::CloseNow;
+        }
+        let line = std::mem::take(&mut self.line);
+        let reply = if std::mem::take(&mut self.draining) {
+            crate::protocol::encode(&Response::Error {
+                message: format!("protocol line exceeds the {}-byte limit", self.max),
+            })
+        } else {
+            match String::from_utf8(line) {
+                Err(_) => crate::protocol::encode(&Response::Error {
+                    message: "protocol line is not valid UTF-8".to_string(),
+                }),
+                Ok(line) if line.trim().is_empty() => return Flow::Continue,
+                Ok(line) => service.handle_line(&line),
+            }
+        };
+        out.extend_from_slice(reply.as_bytes());
+        out.push(b'\n');
+        *replies += 1;
+        if service.shutdown_requested() {
+            Flow::FlushThenClose
+        } else {
+            Flow::Continue
+        }
     }
 }
 
@@ -110,52 +168,42 @@ fn is_deadline(err: &io::Error) -> bool {
     )
 }
 
-/// Serves one already-connected byte stream (the shared line loop).
-fn serve_lines(
+/// Serves the daemon over stdin/stdout (or any reader/writer pair) until
+/// EOF or `Shutdown`. Each read is one group-commit batch: its requests
+/// are handled, one [`Service::flush_wal`] makes their effects durable,
+/// and only then are their replies written. A failed flush ends the loop
+/// with its error before any of the batch's replies is written.
+pub fn serve_stdio(
     service: &Service,
     mut input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<()> {
-    let max = service.max_line_bytes();
+    let mut reader = LineReader::new(service.max_line_bytes());
+    let mut out = Vec::new();
     loop {
-        let read = match read_line_bounded(&mut input, max) {
-            Ok(read) => read,
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
             // A deadline expiry is a normal close, not a transport error.
             Err(err) if is_deadline(&err) => return Ok(()),
             Err(err) => return Err(err),
         };
-        // Injected connection fault: drop the link as though the network
-        // did, leaving whatever the service already applied in place —
-        // the at-least-once story the client retry layer is tested under.
-        if let Some(FaultAction::Drop) = service.fault_plan().check(FaultPoint::ConnectionRead) {
+        let len = chunk.len();
+        let mut replies = 0;
+        let flow = reader.push(service, (len > 0).then_some(chunk), &mut out, &mut replies);
+        input.consume(len);
+        if replies > 0 {
+            service.flush_wal()?;
+        }
+        if flow == Flow::CloseNow {
             return Ok(());
         }
-        let reply = match read {
-            LineRead::Eof => return Ok(()),
-            LineRead::Oversized => crate::protocol::encode(&Response::Error {
-                message: format!("protocol line exceeds the {max}-byte limit"),
-            }),
-            LineRead::Line(bytes) => match String::from_utf8(bytes) {
-                Err(_) => crate::protocol::encode(&Response::Error {
-                    message: "protocol line is not valid UTF-8".to_string(),
-                }),
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => service.handle_line(&line),
-            },
-        };
-        output.write_all(reply.as_bytes())?;
-        output.write_all(b"\n")?;
+        output.write_all(&out)?;
         output.flush()?;
-        if service.shutdown_requested() {
+        out.clear();
+        if flow == Flow::FlushThenClose {
             return Ok(());
         }
     }
-}
-
-/// Serves the daemon over stdin/stdout (or any reader/writer pair) until
-/// EOF or `Shutdown`.
-pub fn serve_stdio(service: &Service, input: impl BufRead, output: impl Write) -> io::Result<()> {
-    serve_lines(service, input, output)
 }
 
 /// Poller token of the listening socket (reactor 0 only).
@@ -178,24 +226,21 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// One connection's state on its reactor: the line-buffer state machine
-/// the blocking loop kept on its stack, made explicit.
+/// One connection's state on its reactor: its line reader, its reply
+/// buffer and its deadline stamp.
 struct Conn {
     stream: TcpStream,
-    /// Bytes of the current (incomplete) line.
-    rbuf: Vec<u8>,
+    /// The connection's half of the line contract.
+    reader: LineReader,
     /// Responses queued for the socket; flushed after the batch commits.
     wbuf: Vec<u8>,
     /// How much of `wbuf` has already reached the socket.
     wpos: usize,
-    /// In oversized-line drain mode: discard until the next newline,
-    /// then answer with a protocol error.
-    draining: bool,
     /// Service-clock stamp of the last byte read (read-deadline sweep).
     last_activity: u64,
     /// Whether the poller registration currently asks for writability.
     want_write: bool,
-    /// Close once `wbuf` is drained (EOF seen, or an injected drop).
+    /// Close once `wbuf` is drained (EOF seen, or `Shutdown` served).
     closing: bool,
 }
 
@@ -205,130 +250,22 @@ impl Conn {
     }
 }
 
-/// What a readiness-driven read pass decided about the connection.
-enum ReadOutcome {
-    /// Keep serving.
-    Open,
-    /// Tear the connection down without delivering queued replies — the
-    /// injected network drop, or a transport error.
-    CloseNow,
-    /// Flush queued replies, then close (peer EOF).
-    CloseAfterFlush,
-}
-
-fn queue_reply(conn: &mut Conn, reply: &str) {
-    conn.wbuf.extend_from_slice(reply.as_bytes());
-    conn.wbuf.push(b'\n');
-}
-
-/// Handles one complete line, queueing the reply. Returns how many
-/// requests were handled (0 for the skipped empty line).
-fn respond(service: &Service, conn: &mut Conn, bytes: Vec<u8>) -> usize {
-    let reply = match String::from_utf8(bytes) {
-        Err(_) => crate::protocol::encode(&Response::Error {
-            message: "protocol line is not valid UTF-8".to_string(),
-        }),
-        Ok(line) if line.trim().is_empty() => return 0,
-        Ok(line) => service.handle_line(&line),
-    };
-    queue_reply(conn, &reply);
-    1
-}
-
-fn oversized_reply(max: usize) -> String {
-    crate::protocol::encode(&Response::Error {
-        message: format!("protocol line exceeds the {max}-byte limit"),
-    })
-}
-
-/// Feeds freshly-read bytes through the line state machine — the
-/// event-loop twin of [`read_line_bounded`] + the dispatch in
-/// [`serve_lines`], with identical cap, drain, fault and empty-line
-/// semantics. Returns `Some` when the connection must close.
-fn ingest(
-    service: &Service,
-    conn: &mut Conn,
-    mut rest: &[u8],
-    handled: &mut usize,
-) -> Option<ReadOutcome> {
-    let max = service.max_line_bytes();
-    while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-        let (head, tail) = rest.split_at(pos);
-        rest = &tail[1..];
-        let oversized = if conn.draining {
-            conn.draining = false;
-            true
-        } else if conn.rbuf.len() + head.len() > max {
-            conn.rbuf.clear();
-            true
-        } else {
-            conn.rbuf.extend_from_slice(head);
-            false
-        };
-        // Injected connection fault, checked once per line event exactly
-        // like the blocking reader: drop the link as though the network
-        // did, leaving whatever the service already applied in place —
-        // the at-least-once story the client retry layer is tested under.
-        if let Some(FaultAction::Drop) = service.fault_plan().check(FaultPoint::ConnectionRead) {
-            return Some(ReadOutcome::CloseNow);
-        }
-        if oversized {
-            queue_reply(conn, &oversized_reply(max));
-            *handled += 1;
-        } else {
-            let line = std::mem::take(&mut conn.rbuf);
-            *handled += respond(service, conn, line);
-        }
-    }
-    // No newline in the remainder: accumulate within the cap, or switch
-    // to drain mode and stop buffering the flood.
-    if conn.draining {
-        // Still draining: discard.
-    } else if conn.rbuf.len() + rest.len() > max {
-        conn.rbuf.clear();
-        conn.rbuf.shrink_to_fit();
-        conn.draining = true;
-    } else {
-        conn.rbuf.extend_from_slice(rest);
-    }
-    None
-}
-
-/// Reads a readable connection until `WouldBlock`, EOF or error,
-/// pushing bytes through [`ingest`].
-fn pump_reads(service: &Service, conn: &mut Conn, handled: &mut usize) -> ReadOutcome {
+/// Reads a readable connection until `WouldBlock`, EOF or error, feeding
+/// every read to the connection's [`LineReader`].
+fn pump_reads(service: &Service, conn: &mut Conn, handled: &mut usize) -> Flow {
     let mut buf = [0u8; 8192];
     loop {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                // The EOF read gets a fault check too, matching the
-                // blocking reader's per-read check.
-                if let Some(FaultAction::Drop) =
-                    service.fault_plan().check(FaultPoint::ConnectionRead)
-                {
-                    return ReadOutcome::CloseNow;
-                }
-                if conn.draining {
-                    // EOF cut the drain short; the oversized line still
-                    // gets its error, as the blocking reader answered it.
-                    conn.draining = false;
-                    queue_reply(conn, &oversized_reply(service.max_line_bytes()));
-                    *handled += 1;
-                } else if !conn.rbuf.is_empty() {
-                    // An unterminated final line still counts.
-                    let line = std::mem::take(&mut conn.rbuf);
-                    *handled += respond(service, conn, line);
-                }
-                return ReadOutcome::CloseAfterFlush;
-            }
-            Ok(n) => {
-                if let Some(outcome) = ingest(service, conn, &buf[..n], handled) {
-                    return outcome;
-                }
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
+        let read = match conn.stream.read(&mut buf) {
+            Ok(0) => None,
+            Ok(n) => Some(&buf[..n]),
+            Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Flow::Continue,
             Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::CloseNow,
+            // A transport error tears the connection down like a drop.
+            Err(_) => return Flow::CloseNow,
+        };
+        let flow = conn.reader.push(service, read, &mut conn.wbuf, handled);
+        if flow != Flow::Continue {
+            return flow;
         }
     }
 }
@@ -389,10 +326,9 @@ impl Reactor {
             token,
             Conn {
                 stream,
-                rbuf: Vec::new(),
+                reader: LineReader::new(self.service.max_line_bytes()),
                 wbuf: Vec::new(),
                 wpos: 0,
-                draining: false,
                 last_activity: now,
                 want_write: false,
                 closing: false,
@@ -555,19 +491,14 @@ impl Reactor {
                         if !event.readable {
                             continue; // writable-only: the flush pass covers it
                         }
-                        let service = Arc::clone(&self.service);
                         let Some(conn) = self.conns.get_mut(&token) else {
                             continue; // closed earlier this round
                         };
                         conn.last_activity = now;
-                        match pump_reads(&service, conn, &mut handled) {
-                            ReadOutcome::Open => {}
-                            ReadOutcome::CloseNow => self.close_conn(token),
-                            ReadOutcome::CloseAfterFlush => {
-                                if let Some(conn) = self.conns.get_mut(&token) {
-                                    conn.closing = true;
-                                }
-                            }
+                        match pump_reads(&self.service, conn, &mut handled) {
+                            Flow::Continue => {}
+                            Flow::CloseNow => self.close_conn(token),
+                            Flow::FlushThenClose => conn.closing = true,
                         }
                     }
                 }
@@ -1115,6 +1046,48 @@ mod tests {
             crate::protocol::decode::<Response>(&lines[0]).unwrap(),
             Response::Metrics { .. }
         ));
+    }
+
+    #[test]
+    fn stdio_group_commit_syncs_before_it_replies() {
+        // A group-committed batch is acknowledged only once its sync
+        // lands: a crash in that sync ends the loop with nothing written.
+        let dir = std::env::temp_dir().join(format!(
+            "crowdfusion-server-group-commit-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = ServiceConfig::new(
+            1,
+            RoundConfig::new(2, 4, 0.8).unwrap(),
+            1,
+            SelectorChoice::Random,
+        );
+        let mut durability = crate::durable::DurabilityConfig::new(&dir);
+        durability.group_commit = true;
+        config.durability = Some(durability);
+        config.faults =
+            crate::fault::FaultPlan::none().on(FaultPoint::JournalSync, 1, FaultAction::Crash);
+        let service = Service::new(config).unwrap();
+        let open = crate::protocol::encode(&Request::Open {
+            request: None,
+            entities: vec![crowdfusion_core::session::EntitySpec::simple(
+                "t",
+                vec![0.4, 0.7],
+                vec![true, false],
+            )],
+            k: None,
+            budget: None,
+            pc: None,
+        });
+        let mut output = Vec::new();
+        let err = serve_stdio(&service, format!("{open}\n").as_bytes(), &mut output).unwrap_err();
+        assert_eq!(
+            crate::fault::as_simulated_crash(&err).map(|crash| crash.point),
+            Some(FaultPoint::JournalSync)
+        );
+        assert!(output.is_empty(), "replied before the sync: {output:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -246,6 +246,25 @@ fn lease_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The round configuration an `Open` asks for: `None` keeps the registry
+/// defaults, and any override fills the fields it leaves out from them.
+fn open_config(
+    defaults: RoundConfig,
+    k: Option<usize>,
+    budget: Option<usize>,
+    pc: Option<f64>,
+) -> Result<Option<RoundConfig>, CoreError> {
+    if k.is_none() && budget.is_none() && pc.is_none() {
+        return Ok(None);
+    }
+    RoundConfig::new(
+        k.unwrap_or(defaults.k),
+        budget.unwrap_or(defaults.budget),
+        pc.unwrap_or(defaults.pc_assumed),
+    )
+    .map(Some)
+}
+
 /// Applies one effect to in-memory state. Deterministic given the
 /// registry state and the effect — the property journal replay leans on.
 /// `now` only feeds the TTL bookkeeping, never the outcome. Free of any
@@ -267,16 +286,7 @@ fn apply_effect(
             budget,
             pc,
         } => {
-            let defaults = registry.defaults();
-            let config = if k.is_some() || budget.is_some() || pc.is_some() {
-                Some(RoundConfig::new(
-                    k.unwrap_or(defaults.k),
-                    budget.unwrap_or(defaults.budget),
-                    pc.unwrap_or(defaults.pc_assumed),
-                )?)
-            } else {
-                None
-            };
+            let config = open_config(registry.defaults(), *k, *budget, *pc)?;
             let sessions = registry.open_batch(entities.clone(), config)?;
             {
                 let mut last_active = lease(last_active);
@@ -434,12 +444,12 @@ impl Service {
                 // Compact: one fresh snapshot covering everything just
                 // recovered, so the journal restarts empty and a torn
                 // tail (already dropped by recovery) is truncated away.
-                let snapshot = DurableSnapshot {
-                    applied_seq: durable.last_seq(),
-                    registry: registry.snapshot(),
-                    opens: ledger_snapshot(&opens),
-                    sched: sched.as_ref().map(SchedState::snapshot),
-                };
+                let snapshot = durable_snapshot(
+                    &durable,
+                    &registry,
+                    &opens,
+                    sched.as_ref().map(SchedState::snapshot),
+                );
                 durable.snapshot_now(&snapshot)?;
                 (registry, Some(durable))
             }
@@ -449,13 +459,7 @@ impl Service {
         // the recovered registry (a pure function of session state, so
         // identical across shard counts and recovery paths).
         if let Some(state) = sched.as_mut() {
-            for session in registry.ids() {
-                let gain = registry
-                    .with_session(session, SchedState::session_gain)
-                    .ok()
-                    .flatten();
-                state.refresh(session, gain);
-            }
+            state.queue = gain_queue(&registry);
         }
 
         // Recovery has no record of wall time; every recovered session's
@@ -701,12 +705,7 @@ impl Service {
         let Some(durable) = durable.as_mut() else {
             return Ok(());
         };
-        let snapshot = DurableSnapshot {
-            applied_seq: durable.last_seq(),
-            registry: registry.snapshot(),
-            opens: ledger_snapshot(&self.opens),
-            sched: self.sched_snapshot(),
-        };
+        let snapshot = durable_snapshot(durable, &registry, &self.opens, self.sched_snapshot());
         durable
             .snapshot_now(&snapshot)
             .map_err(|e| io_fail(e, "write the auto-snapshot"))
@@ -802,6 +801,22 @@ impl Service {
         }
     }
 
+    /// Answers a `Select` that does not mutate — an open round read again,
+    /// or an exhausted session polled — without journalling it. Called
+    /// with the session's stripe held, like [`Service::select_payload`].
+    fn reread_select(&self, registry: &ShardedRegistry, session: u64) -> Result<Response, Fail> {
+        let outcome = apply_effect(
+            self.selector.as_ref(),
+            registry,
+            &self.opens,
+            &self.last_active,
+            &Effect::Select { session },
+            self.clock.now_ms(),
+        )
+        .map_err(|e| Fail::Msg(e.to_string()));
+        self.select_payload(registry, session, outcome)
+    }
+
     /// Applies a completed admission to the scheduler: a `Round` charges
     /// its tasks against the shared ledger, dequeues the session (it is
     /// busy until the round absorbs) and records the idempotency mark.
@@ -840,17 +855,7 @@ impl Service {
                 })
                 .map_err(err)?;
             if open_round || exhausted {
-                let now = self.clock.now_ms();
-                let outcome = apply_effect(
-                    self.selector.as_ref(),
-                    &registry,
-                    &self.opens,
-                    &self.last_active,
-                    &Effect::Select { session },
-                    now,
-                )
-                .map_err(err);
-                (self.select_payload(&registry, session, outcome), false)
+                (self.reread_select(&registry, session), false)
             } else if left == 0 {
                 // Flips to exhausted without opening a round: spends
                 // nothing, so no admission contest — but it mutates, so
@@ -925,17 +930,7 @@ impl Service {
                     .with_session(session, |s| s.has_open_round())
                     .map_err(err)?;
                 return if open_round {
-                    let now = self.clock.now_ms();
-                    let outcome = apply_effect(
-                        self.selector.as_ref(),
-                        &registry,
-                        &self.opens,
-                        &self.last_active,
-                        &Effect::Select { session },
-                        now,
-                    )
-                    .map_err(err);
-                    self.select_payload(&registry, session, outcome)
+                    self.reread_select(&registry, session)
                 } else {
                     // The admitted round has since been fully absorbed;
                     // an empty task list says nothing is owed.
@@ -1069,21 +1064,13 @@ impl Service {
             // admission, hence counts as spent here. Admission marks
             // described rounds that no longer exist and are dropped.
             if self.budget_mode.is_global() {
-                let ids = registry.ids();
                 let mut spent: u64 = 0;
-                let mut gains = Vec::with_capacity(ids.len());
-                for session in ids {
+                for session in registry.ids() {
                     spent += registry
                         .with_session(session, |s| (s.spent() + s.open_round_tasks()) as u64)
                         .unwrap_or(0);
-                    gains.push((
-                        session,
-                        registry
-                            .with_session(session, SchedState::session_gain)
-                            .ok()
-                            .flatten(),
-                    ));
                 }
+                let queue = gain_queue(&registry);
                 if let Some(sched) = lease(&self.sched).as_mut() {
                     let budget = sched.ledger.budget;
                     sched.ledger = BudgetLedger {
@@ -1091,22 +1078,15 @@ impl Service {
                         spent: spent.min(budget),
                     };
                     sched.scheduled.clear();
-                    sched.queue = GainQueue::new();
-                    for (session, gain) in gains {
-                        sched.refresh(session, gain);
-                    }
+                    sched.queue = queue;
                 }
             }
             // Durability barrier: the restore replaces history, so the
             // restored state becomes the new recovery base at once.
             let mut durable = lease(&self.durable);
             if let Some(durable) = durable.as_mut() {
-                let snapshot = DurableSnapshot {
-                    applied_seq: durable.last_seq(),
-                    registry: registry.snapshot(),
-                    opens: Vec::new(),
-                    sched: self.sched_snapshot(),
-                };
+                let snapshot =
+                    durable_snapshot(durable, &registry, &self.opens, self.sched_snapshot());
                 durable
                     .snapshot_now(&snapshot)
                     .map_err(|e| io_fail(e, "persist the restored state"))?;
@@ -1146,15 +1126,7 @@ impl Service {
                 }
                 let (outcome, due) = {
                     let registry = lease_read(&self.registry);
-                    if k.is_some() || budget.is_some() || pc.is_some() {
-                        let defaults = registry.defaults();
-                        RoundConfig::new(
-                            k.unwrap_or(defaults.k),
-                            budget.unwrap_or(defaults.budget),
-                            pc.unwrap_or(defaults.pc_assumed),
-                        )
-                        .map_err(err)?;
-                    }
+                    open_config(registry.defaults(), k, budget, pc).map_err(err)?;
                     self.commit(
                         &registry,
                         Effect::Open {
@@ -1196,46 +1168,12 @@ impl Service {
                     let mutates = registry
                         .with_session(session, |s| !s.has_open_round() && !s.is_exhausted())
                         .map_err(err)?;
-                    let effect = Effect::Select { session };
-                    let (outcome, due) = if mutates {
-                        self.commit(&registry, effect)
+                    if mutates {
+                        let (outcome, due) = self.commit(&registry, Effect::Select { session });
+                        (self.select_payload(&registry, session, outcome), due)
                     } else {
-                        let now = self.clock.now_ms();
-                        let outcome = apply_effect(
-                            self.selector.as_ref(),
-                            &registry,
-                            &self.opens,
-                            &self.last_active,
-                            &effect,
-                            now,
-                        )
-                        .map_err(err);
-                        (outcome, false)
-                    };
-                    // Build the response while the stripe is still held so
-                    // the exhausted payload reflects this very selection.
-                    let payload = match outcome {
-                        Ok(EffectOutcome::Selected(SelectOutcome::Round(round))) => {
-                            Ok(Response::Round {
-                                session,
-                                round: round.round,
-                                tasks: round.tasks,
-                            })
-                        }
-                        Ok(EffectOutcome::Selected(SelectOutcome::Exhausted)) => {
-                            let (rounds, spent) = registry
-                                .with_session(session, |s| (s.rounds(), s.spent()))
-                                .map_err(err)?;
-                            Ok(Response::Exhausted {
-                                session,
-                                rounds,
-                                spent,
-                            })
-                        }
-                        Ok(_) => unreachable!("select applies to Selected"),
-                        Err(e) => Err(e),
-                    };
-                    (payload, due)
+                        (self.reread_select(&registry, session), false)
+                    }
                 };
                 if due {
                     self.write_auto_snapshot()?;
@@ -1356,12 +1294,8 @@ impl Service {
                 let registry = lease_write(&self.registry);
                 let mut durable = lease(&self.durable);
                 if let Some(durable) = durable.as_mut() {
-                    let snapshot = DurableSnapshot {
-                        applied_seq: durable.last_seq(),
-                        registry: registry.snapshot(),
-                        opens: ledger_snapshot(&self.opens),
-                        sched: self.sched_snapshot(),
-                    };
+                    let snapshot =
+                        durable_snapshot(durable, &registry, &self.opens, self.sched_snapshot());
                     if let Err(e) = durable.snapshot_now(&snapshot) {
                         if let Some(crash) = as_simulated_crash(&e) {
                             return Err(Fail::Crash(crash));
@@ -1417,15 +1351,40 @@ impl Service {
     }
 }
 
-/// Clones the idempotency ledger into its snapshot form.
-fn ledger_snapshot(opens: &Mutex<BTreeMap<u64, Vec<OpenedSession>>>) -> Vec<CompletedOpen> {
-    lease(opens)
-        .iter()
-        .map(|(&request, sessions)| CompletedOpen {
-            request,
-            sessions: sessions.clone(),
-        })
-        .collect()
+/// The durable snapshot of the state as it stands: the registry, the
+/// idempotency ledger and the scheduler's durable form, covering every
+/// effect `durable` has journalled.
+fn durable_snapshot(
+    durable: &Durability,
+    registry: &ShardedRegistry,
+    opens: &Mutex<BTreeMap<u64, Vec<OpenedSession>>>,
+    sched: Option<SchedSnapshot>,
+) -> DurableSnapshot {
+    DurableSnapshot {
+        applied_seq: durable.last_seq(),
+        registry: registry.snapshot(),
+        opens: lease(opens)
+            .iter()
+            .map(|(&request, sessions)| CompletedOpen {
+                request,
+                sessions: sessions.clone(),
+            })
+            .collect(),
+        sched,
+    }
+}
+
+/// The gain queue rebuilt wholesale against the registry (boot and
+/// restore: the queue is never persisted). Built before the scheduler
+/// lock is taken, so that lock stays a leaf.
+fn gain_queue(registry: &ShardedRegistry) -> GainQueue {
+    let mut queue = GainQueue::new();
+    for session in registry.ids() {
+        if let Ok(Some((fact, gain))) = registry.with_session(session, SchedState::session_gain) {
+            queue.insert(session, fact, gain);
+        }
+    }
+    queue
 }
 
 #[cfg(test)]

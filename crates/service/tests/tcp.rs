@@ -196,6 +196,53 @@ fn mid_line_silence_is_reaped_at_the_deadline() {
 }
 
 #[test]
+fn nothing_behind_shutdown_in_the_same_read_is_answered() {
+    // One write carries `Shutdown` and two more requests. The daemon
+    // answers `Bye` and stops there: the `Open` behind it is neither
+    // answered nor applied after the final snapshot.
+    use crowdfusion_service::protocol::encode;
+    use std::io::{Read, Write};
+
+    let service = Arc::new(Service::new(config()).unwrap());
+    let (addr, daemon) = spawn_daemon(Arc::clone(&service));
+    let open = Request::Open {
+        request: None,
+        entities: vec![spec()],
+        k: None,
+        budget: None,
+        pc: None,
+    };
+    let script = format!(
+        "{}\n{}\n{}\n",
+        encode(&Request::Shutdown),
+        encode(&open),
+        encode(&Request::Metrics)
+    );
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(script.as_bytes()).unwrap();
+    let mut replies = Vec::new();
+    let mut buf = [0u8; 256];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => replies.extend_from_slice(&buf[..n]),
+            // Unread bytes at the daemon's close turn its FIN into a reset.
+            Err(err) if err.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(err) => panic!("reading the replies failed: {err}"),
+        }
+    }
+    daemon.join().unwrap().unwrap();
+    assert_eq!(
+        String::from_utf8(replies).unwrap(),
+        format!("{}\n", encode(&Response::Bye))
+    );
+    let Response::Metrics { metrics } = service.handle(Request::Metrics) else {
+        panic!("metrics failed");
+    };
+    assert_eq!(metrics.sessions, 0);
+}
+
+#[test]
 fn shutdown_closes_every_connection_socket() {
     // PR 7's handler-exit contract, re-verified on the event loop: when
     // the daemon stops, every live socket gets a transport-level

@@ -129,3 +129,88 @@ fn binary_exit_codes_match_contract() {
     assert!(String::from_utf8_lossy(&err.stderr).contains("unknown command"));
     assert!(err.stdout.is_empty(), "error output goes to stderr only");
 }
+
+#[test]
+fn stdio_daemon_with_group_commit_recovers_the_same_trace() {
+    // The stdio transport through the compiled binary: open, select,
+    // absorb and trace over pipes with a group-committed WAL, then EOF.
+    // A second boot on the same WAL directory must answer the same trace.
+    use crowdfusion::core::session::EntitySpec;
+    use crowdfusion::service::protocol::{decode, encode, Request, Response, WireAnswer};
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let exe = env!("CARGO_BIN_EXE_crowdfusion");
+    let wal = tmp("stdio-wal");
+    let _ = std::fs::remove_dir_all(&wal);
+    let boot = || {
+        Command::new(exe)
+            .args(["serve", "--transport", "stdio", "--wal-dir", &wal])
+            .args(["--group-commit", "true", "--seed", "5"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap()
+    };
+    let ask = |stdin: &mut std::process::ChildStdin,
+               stdout: &mut BufReader<std::process::ChildStdout>,
+               request: &Request| {
+        writeln!(stdin, "{}", encode(request)).unwrap();
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        line
+    };
+
+    let mut first = boot();
+    let mut stdin = first.stdin.take().unwrap();
+    let mut stdout = BufReader::new(first.stdout.take().unwrap());
+    let opened = ask(
+        &mut stdin,
+        &mut stdout,
+        &Request::Open {
+            request: None,
+            entities: vec![EntitySpec::simple(
+                "b",
+                vec![0.5, 0.6, 0.7],
+                vec![true, false, true],
+            )],
+            k: None,
+            budget: None,
+            pc: None,
+        },
+    );
+    let Ok(Response::Opened { sessions }) = decode(opened.trim_end()) else {
+        panic!("open failed: {opened}");
+    };
+    let session = sessions[0].session;
+    let selected = ask(&mut stdin, &mut stdout, &Request::Select { session });
+    let Ok(Response::Round { tasks, .. }) = decode(selected.trim_end()) else {
+        panic!("select failed: {selected}");
+    };
+    let answers = tasks
+        .iter()
+        .map(|task| WireAnswer {
+            task: task.id,
+            value: true,
+        })
+        .collect();
+    let absorbed = ask(
+        &mut stdin,
+        &mut stdout,
+        &Request::Absorb { session, answers },
+    );
+    assert!(absorbed.starts_with("{\"Absorbed\""), "{absorbed}");
+    let trace = ask(&mut stdin, &mut stdout, &Request::Trace);
+    assert!(trace.starts_with("{\"Trace\""), "{trace}");
+    drop(stdin);
+    assert!(first.wait().unwrap().success(), "EOF is a clean stop");
+
+    let mut second = boot();
+    let mut stdin = second.stdin.take().unwrap();
+    let mut stdout = BufReader::new(second.stdout.take().unwrap());
+    assert_eq!(ask(&mut stdin, &mut stdout, &Request::Trace), trace);
+    drop(stdin);
+    assert!(second.wait().unwrap().success());
+    std::fs::remove_dir_all(&wal).ok();
+}
