@@ -1,7 +1,10 @@
 //! Criterion: answer-table preprocessing — the paper's `O(|O|²)` naive
-//! computation (serial and crossbeam-parallel, Section III-F's MapReduce
-//! claim) against the butterfly transform — and the step before it, the
-//! materialisation of the joint prior from fusion marginals.
+//! computation (serial and pool-sharded, Section III-F's MapReduce claim)
+//! against the butterfly transform — and the step before it, the
+//! materialisation of the joint prior from fusion marginals. Every row
+//! runs the one Equation 2 body per evaluator: `*_serial` on
+//! `Pool::serial()`, `*_parallel_N` on an N-thread pool built once per
+//! row, outside the timed loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowdfusion::datagen::book;
@@ -9,50 +12,31 @@ use crowdfusion::pipeline::entity_specs_from_books;
 use crowdfusion::prelude::*;
 use crowdfusion_bench::bench_prior;
 use crowdfusion_core::answers::{full_answer_distribution, AnswerEvaluator};
-use crowdfusion_core::parallel::{
-    full_answer_distribution_butterfly_parallel, full_answer_distribution_naive_parallel,
-};
+use crowdfusion_core::pool::Pool;
 use crowdfusion_core::prior::default_grouped_prior;
 use crowdfusion_core::session::EntitySpec;
 
 fn bench_preprocess(c: &mut Criterion) {
     let mut group = c.benchmark_group("answer_table_preprocess");
+    let rows = [
+        ("naive_serial", AnswerEvaluator::Naive, 1usize),
+        ("naive_parallel_2", AnswerEvaluator::Naive, 2),
+        ("naive_parallel_4", AnswerEvaluator::Naive, 4),
+        ("butterfly_serial", AnswerEvaluator::Butterfly, 1),
+        ("butterfly_parallel_4", AnswerEvaluator::Butterfly, 4),
+    ];
     for &n in &[10usize, 14] {
         let dist = bench_prior(n, 2);
-        group.bench_with_input(BenchmarkId::new("naive_serial", n), &n, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    full_answer_distribution(&dist, 0.8, AnswerEvaluator::Naive).unwrap(),
-                )
-            })
-        });
-        for threads in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("naive_parallel_{threads}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        std::hint::black_box(
-                            full_answer_distribution_naive_parallel(&dist, 0.8, threads).unwrap(),
-                        )
-                    })
-                },
-            );
+        for (name, evaluator, threads) in rows {
+            let pool = Pool::new(threads);
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    std::hint::black_box(
+                        full_answer_distribution(&dist, 0.8, evaluator, &pool).unwrap(),
+                    )
+                })
+            });
         }
-        group.bench_with_input(BenchmarkId::new("butterfly_serial", n), &n, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    full_answer_distribution(&dist, 0.8, AnswerEvaluator::Butterfly).unwrap(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("butterfly_parallel_4", n), &n, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    full_answer_distribution_butterfly_parallel(&dist, 0.8, 4).unwrap(),
-                )
-            })
-        });
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! 1. answer-distribution evaluator: paper-naive vs butterfly transform;
 //! 2. pruning bound: none vs safe (lazy evaluation) vs paper-log vs
 //!    dominance — time *and* selection-quality impact;
-//! 3. preprocessing parallelism: serial vs crossbeam-sharded (the paper's
+//! 3. preprocessing parallelism: serial vs pool-sharded (the paper's
 //!    MapReduce claim);
 //! 4. assumed-vs-true crowd accuracy mismatch (the risk Figure 4 hints at).
 //!
@@ -14,10 +14,7 @@ use crowdfusion_bench::{
     bench_prior, fmt_secs, is_quick, run_quality_experiment, standard_books, standard_cases,
     time_avg_secs,
 };
-use crowdfusion_core::answers::{answer_entropy, AnswerEvaluator};
-use crowdfusion_core::parallel::{
-    full_answer_distribution_butterfly_parallel, full_answer_distribution_naive_parallel,
-};
+use crowdfusion_core::answers::{answer_entropy, full_answer_distribution, AnswerEvaluator};
 use crowdfusion_core::pool::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,15 +91,11 @@ fn main() {
 
     println!("\n== Ablation 3: preprocessing parallelism (n = {n}) ==");
     for threads in [1usize, 2, 4, 8] {
-        let naive = time_avg_secs(repeats, || {
-            std::hint::black_box(
-                full_answer_distribution_naive_parallel(&dist, pc, threads).unwrap(),
-            );
-        });
-        let butterfly = time_avg_secs(repeats, || {
-            std::hint::black_box(
-                full_answer_distribution_butterfly_parallel(&dist, pc, threads).unwrap(),
-            );
+        let pool = Pool::new(threads);
+        let [naive, butterfly] = [AnswerEvaluator::Naive, AnswerEvaluator::Butterfly].map(|ev| {
+            time_avg_secs(repeats, || {
+                std::hint::black_box(full_answer_distribution(&dist, pc, ev, &pool).unwrap());
+            })
         });
         println!(
             "  threads {threads}: naive O(|O|^2) = {:>10}, butterfly = {:>10}",

@@ -13,13 +13,22 @@
 //! the full vector over all `2^|T|` answer patterns:
 //!
 //! * [`AnswerEvaluator::Naive`] — the paper's direct evaluation
-//!   (`O(2^|T| · |O| · |T|)`), used by the Table V "Approx." and "OPT"
-//!   configurations;
+//!   (`O(2^|T| · |O|)` once each output is restricted to `T`), used by the
+//!   Table V "Approx." and "OPT" configurations;
 //! * [`AnswerEvaluator::Butterfly`] — our engineering improvement: scatter
 //!   the output distribution onto the `2^|T|` pattern lattice, then apply a
 //!   per-bit binary-symmetric-channel butterfly (`O(|O| + |T|·2^|T|)`),
 //!   analogous to a Walsh–Hadamard transform. Cross-validated against the
 //!   naive evaluator by unit and property tests.
+//!
+//! Each evaluator has one body. It runs over any `(pattern, probability)`
+//! support — a [`JointDist`], a sparse [`AnswerTable`]'s entries, or a
+//! dense table read as a pattern-indexed support — and is sharded on a
+//! [`Pool`]: the naive sum by contiguous answer-pattern ranges, the
+//! butterfly by whole transform blocks per stage (Section III-F notes the
+//! step "can be solved by parallel computing or the MapReduce framework").
+//! Every slot sees the same arithmetic in the same order at any thread
+//! count, so results are bit-identical to [`Pool::serial`]'s.
 //!
 //! After answers arrive, the posterior over outputs is (Equation 3)
 //!
@@ -28,6 +37,7 @@
 //! ```
 
 use crate::error::CoreError;
+use crate::pool::Pool;
 use crate::{validate_pc, MAX_DENSE_FACTS};
 use crowdfusion_jointdist::{entropy_of_probs, Assignment, JointDist, VarSet};
 use rand::RngCore;
@@ -97,16 +107,31 @@ pub enum AnswerTable {
 }
 
 impl AnswerTable {
-    /// The dense table (paper Table IV): [`full_answer_distribution`]
-    /// wrapped in the enum. Errors beyond [`MAX_DENSE_FACTS`].
-    pub fn dense(
+    /// The preprocessed table for `backend`. A dense table is
+    /// [`full_answer_distribution`] on `pool` (bit-identical at any
+    /// thread count); a sparse one is [`AnswerTable::sparse`].
+    /// [`TableBackend::Auto`] picks dense up to [`MAX_DENSE_FACTS`] facts
+    /// and sparse beyond — the routing that lifts the dense `2^n` ceiling
+    /// from the preprocessed selection path — while a forced
+    /// [`TableBackend::Dense`] errors beyond the limit.
+    pub fn build(
         dist: &JointDist,
         pc: f64,
         evaluator: AnswerEvaluator,
+        backend: TableBackend,
+        pool: &Pool,
     ) -> Result<AnswerTable, CoreError> {
+        let dense = match backend {
+            TableBackend::Auto => dist.num_vars() <= MAX_DENSE_FACTS,
+            TableBackend::Dense => true,
+            TableBackend::Sparse => false,
+        };
+        if !dense {
+            return AnswerTable::sparse(dist, pc);
+        }
         Ok(AnswerTable::Dense {
             n: dist.num_vars(),
-            probs: full_answer_distribution(dist, pc, evaluator)?,
+            probs: full_answer_distribution(dist, pc, evaluator, pool)?,
         })
     }
 
@@ -186,38 +211,32 @@ impl AnswerTable {
 
     /// The answer distribution of `tasks` as a dense `2^|tasks|` vector —
     /// entry `a` is the probability of the answer pattern whose bit `j`
-    /// is the judgment of the `j`-th smallest member of `tasks`. Exact
-    /// for both backends (up to the sparse table's own construction
-    /// error); `|tasks|` is bounded by [`MAX_DENSE_FACTS`].
+    /// is the judgment of the `j`-th smallest member of `tasks`: the
+    /// butterfly body on the table's own entries, serially. Exact for
+    /// both backends (up to the sparse table's own construction error);
+    /// `|tasks|` is bounded by [`MAX_DENSE_FACTS`].
     pub fn distribution(&self, tasks: VarSet) -> Result<Vec<f64>, CoreError> {
-        let n = self.num_facts();
-        if let Some(bad) = tasks.difference(VarSet::all(n)).iter().next() {
-            return Err(CoreError::TaskOutOfRange { index: bad, n });
-        }
-        let t = tasks.len();
-        if t > MAX_DENSE_FACTS {
-            return Err(CoreError::TooManyFacts {
-                requested: t,
-                limit: MAX_DENSE_FACTS,
-            });
-        }
-        let mut out = vec![0.0f64; 1usize << t];
+        let serial = &Pool::serial();
         match self {
-            AnswerTable::Dense { probs, .. } => {
-                // The channel is already applied; marginalise the dense
-                // joint onto the task bits.
-                for (pattern, &p) in probs.iter().enumerate() {
-                    out[Assignment(pattern as u64).extract(tasks) as usize] += p;
-                }
-            }
-            AnswerTable::Sparse { pc, entries, .. } => {
-                for &(pattern, p) in entries {
-                    out[Assignment(pattern).extract(tasks) as usize] += p;
-                }
-                bsc_transform_in_place(&mut out, t, *pc);
-            }
+            // The channel is already applied: the dense table is a
+            // pattern-indexed support behind the identity channel.
+            AnswerTable::Dense { n, probs } => equation2(
+                *n,
+                (0..).map(Assignment).zip(probs.iter().copied()),
+                tasks,
+                1.0,
+                AnswerEvaluator::Butterfly,
+                serial,
+            ),
+            AnswerTable::Sparse { n, pc, entries } => equation2(
+                *n,
+                entries.iter().map(|&(pattern, p)| (Assignment(pattern), p)),
+                tasks,
+                *pc,
+                AnswerEvaluator::Butterfly,
+                serial,
+            ),
         }
-        Ok(out)
     }
 
     /// Entropy `H(T)` in bits of [`AnswerTable::distribution`].
@@ -226,95 +245,134 @@ impl AnswerTable {
     }
 }
 
-/// Validates a task set against the distribution and the dense limit.
-fn validate_tasks(dist: &JointDist, tasks: VarSet) -> Result<(), CoreError> {
-    let n = dist.num_vars();
-    if let Some(bad) = tasks.difference(VarSet::all(n)).iter().next() {
-        return Err(CoreError::TaskOutOfRange { index: bad, n });
-    }
-    if tasks.len() > MAX_DENSE_FACTS {
-        return Err(CoreError::TooManyFacts {
-            requested: tasks.len(),
-            limit: MAX_DENSE_FACTS,
-        });
-    }
-    Ok(())
-}
-
 /// Computes the answer distribution for `tasks` with the requested
-/// evaluator. The result is a dense vector of length `2^|tasks|`; entry `a`
-/// is the probability of the answer pattern whose bit `j` is the judgment of
-/// the `j`-th smallest member of `tasks`. An empty task set yields `[1.0]`.
+/// evaluator, serially. The result is a dense vector of length
+/// `2^|tasks|`; entry `a` is the probability of the answer pattern whose
+/// bit `j` is the judgment of the `j`-th smallest member of `tasks`. An
+/// empty task set yields `[1.0]`.
 pub fn answer_distribution(
     dist: &JointDist,
     tasks: VarSet,
     pc: f64,
     evaluator: AnswerEvaluator,
 ) -> Result<Vec<f64>, CoreError> {
-    validate_pc(pc)?;
-    validate_tasks(dist, tasks)?;
-    match evaluator {
-        AnswerEvaluator::Naive => Ok(answer_distribution_naive(dist, tasks, pc)),
-        AnswerEvaluator::Butterfly => Ok(answer_distribution_butterfly(dist, tasks, pc)),
-    }
+    equation2(
+        dist.num_vars(),
+        dist.iter(),
+        tasks,
+        pc,
+        evaluator,
+        &Pool::serial(),
+    )
 }
 
-/// The paper's brute-force Equation 2: for every answer pattern, scan the
-/// whole output support counting `#Same` / `#Diff`.
-fn answer_distribution_naive(dist: &JointDist, tasks: VarSet, pc: f64) -> Vec<f64> {
+/// Equation 2 for `tasks` over a `(pattern, probability)` support of
+/// `n`-fact judgment patterns, on `pool`. The one check of every answer
+/// distribution: `pc` in the model range, `tasks` inside `0..n` and at
+/// most [`MAX_DENSE_FACTS`] wide. Each support entry is restricted to
+/// `tasks` once, then the evaluator's body runs.
+fn equation2(
+    n: usize,
+    support: impl Iterator<Item = (Assignment, f64)>,
+    tasks: VarSet,
+    pc: f64,
+    evaluator: AnswerEvaluator,
+    pool: &Pool,
+) -> Result<Vec<f64>, CoreError> {
+    validate_pc(pc)?;
+    if let Some(bad) = tasks.difference(VarSet::all(n)).iter().next() {
+        return Err(CoreError::TaskOutOfRange { index: bad, n });
+    }
     let t = tasks.len();
+    if t > MAX_DENSE_FACTS {
+        return Err(CoreError::TooManyFacts {
+            requested: t,
+            limit: MAX_DENSE_FACTS,
+        });
+    }
+    let restricted = support.map(|(o, p)| (o.extract(tasks), p));
+    Ok(match evaluator {
+        AnswerEvaluator::Naive => naive(&restricted.collect::<Vec<_>>(), t, pc, pool),
+        AnswerEvaluator::Butterfly => butterfly(restricted, t, pc, pool),
+    })
+}
+
+/// The paper's direct Equation 2: every answer pattern scans the whole
+/// restricted support counting `#Diff`. Sharded by contiguous
+/// answer-pattern ranges — each sub-program is "responsible for one
+/// single counting and calculation of `Pc^#Same (1 − Pc)^#Diff`".
+fn naive(restricted: &[(u64, f64)], t: usize, pc: f64, pool: &Pool) -> Vec<f64> {
     let patterns = 1usize << t;
     let mut out = vec![0.0f64; patterns];
     // Precompute pc^s (1-pc)^d for s + d = t.
     let weights: Vec<f64> = (0..=t)
         .map(|d| pc.powi((t - d) as i32) * (1.0 - pc).powi(d as i32))
         .collect();
-    for (answer, slot) in out.iter_mut().enumerate() {
-        let mut total = 0.0;
-        for (o, p) in dist.iter() {
-            let restricted = o.extract(tasks);
-            let diff = (restricted ^ answer as u64).count_ones() as usize;
-            total += p * weights[diff];
+    pool.for_each_chunk(&mut out, pool.chunk_size(patterns), |base, chunk| {
+        for (offset, slot) in chunk.iter_mut().enumerate() {
+            let answer = (base + offset) as u64;
+            let mut total = 0.0;
+            for &(o, p) in restricted {
+                total += p * weights[(o ^ answer).count_ones() as usize];
+            }
+            *slot = total;
         }
-        *slot = total;
-    }
+    });
     out
 }
 
-/// Butterfly evaluation: scatter `P(o)` restricted to `tasks` onto the
-/// pattern lattice, then per bit apply the binary symmetric channel
-/// `[[pc, 1−pc], [1−pc, pc]]`.
-fn answer_distribution_butterfly(dist: &JointDist, tasks: VarSet, pc: f64) -> Vec<f64> {
-    let t = tasks.len();
-    let patterns = 1usize << t;
-    let mut w = vec![0.0f64; patterns];
-    for (o, p) in dist.iter() {
-        w[o.extract(tasks) as usize] += p;
+/// Butterfly evaluation: scatter the restricted support onto the pattern
+/// lattice, then per bit apply the binary symmetric channel
+/// `[[pc, 1−pc], [1−pc, pc]]`. A stage's blocks of `2^(bit+1)` patterns
+/// are independent, so each stage is sharded on whole blocks.
+fn butterfly(
+    restricted: impl Iterator<Item = (u64, f64)>,
+    t: usize,
+    pc: f64,
+    pool: &Pool,
+) -> Vec<f64> {
+    let mut w = vec![0.0f64; 1usize << t];
+    for (o, p) in restricted {
+        w[o as usize] += p;
     }
-    bsc_transform_in_place(&mut w, t, pc);
+    if pc == 1.0 {
+        return w; // identity channel
+    }
+    for bit in 0..t {
+        let block = 2usize << bit;
+        let blocks_per_chunk = (w.len() / block).div_ceil(pool.threads());
+        pool.for_each_chunk(&mut w, blocks_per_chunk * block, |_, chunk| {
+            bsc_stage(chunk, bit, pc)
+        });
+    }
     w
 }
 
 /// Applies the per-bit binary-symmetric-channel transform to a dense vector
-/// over `t`-bit patterns, in place.
+/// over `t`-bit patterns, in place. Serial: the greedy engine calls it for
+/// every candidate it scores.
 pub(crate) fn bsc_transform_in_place(w: &mut [f64], t: usize, pc: f64) {
     debug_assert_eq!(w.len(), 1usize << t);
     if pc == 1.0 {
         return; // identity channel
     }
-    let q = 1.0 - pc;
     for bit in 0..t {
-        let stride = 1usize << bit;
-        let block = stride << 1;
-        let mut base = 0;
-        while base < w.len() {
-            for i in base..base + stride {
-                let lo = w[i];
-                let hi = w[i + stride];
-                w[i] = pc * lo + q * hi;
-                w[i + stride] = q * lo + pc * hi;
-            }
-            base += block;
+        bsc_stage(w, bit, pc);
+    }
+}
+
+/// One channel stage: mixes every pattern pair that differs only in `bit`.
+/// `w` holds whole blocks of `2^(bit+1)` patterns.
+#[inline]
+fn bsc_stage(w: &mut [f64], bit: usize, pc: f64) {
+    let q = 1.0 - pc;
+    let stride = 1usize << bit;
+    for block in w.chunks_exact_mut(stride << 1) {
+        let (lo, hi) = block.split_at_mut(stride);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            let (a, b) = (*l, *h);
+            *l = pc * a + q * b;
+            *h = q * a + pc * b;
         }
     }
 }
@@ -333,14 +391,17 @@ pub fn answer_entropy(
 }
 
 /// The full answer joint distribution over *all* `n` facts — the paper's
-/// preprocessing artefact (Table IV). Dense vector of length `2^n` indexed
-/// by answer pattern (bit `i` = judgment of fact `i`).
+/// preprocessing artefact (Table IV), computed on `pool`. Dense vector of
+/// length `2^n` indexed by answer pattern (bit `i` = judgment of fact
+/// `i`); errors beyond [`MAX_DENSE_FACTS`].
 pub fn full_answer_distribution(
     dist: &JointDist,
     pc: f64,
     evaluator: AnswerEvaluator,
+    pool: &Pool,
 ) -> Result<Vec<f64>, CoreError> {
-    answer_distribution(dist, VarSet::all(dist.num_vars()), pc, evaluator)
+    let n = dist.num_vars();
+    equation2(n, dist.iter(), VarSet::all(n), pc, evaluator, pool)
 }
 
 /// Bayesian merge of crowd answers (Equation 3): multiplies each output's
@@ -419,9 +480,31 @@ pub fn posterior_in_place(
 mod tests {
     use super::*;
     use crowdfusion_jointdist::presets::paper_running_example;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 5e-4 // paper reports 3 decimals
+    }
+
+    fn random_dist(n: usize, seed: u64) -> JointDist {
+        let mut rng = StdRng::seed_from_u64(seed);
+        JointDist::from_weights(
+            n,
+            (0..(1u64 << n)).map(|a| (Assignment(a), rng.gen_range(0.0..1.0))),
+        )
+        .unwrap()
+    }
+
+    fn dense_table(d: &JointDist, pc: f64) -> AnswerTable {
+        AnswerTable::build(
+            d,
+            pc,
+            AnswerEvaluator::Butterfly,
+            TableBackend::Dense,
+            &Pool::serial(),
+        )
+        .unwrap()
     }
 
     /// Table IV of the paper: the answer joint distribution for the running
@@ -448,7 +531,7 @@ mod tests {
     fn full_answer_distribution_matches_table_iv() {
         let d = paper_running_example();
         for ev in [AnswerEvaluator::Naive, AnswerEvaluator::Butterfly] {
-            let ans = full_answer_distribution(&d, 0.8, ev).unwrap();
+            let ans = full_answer_distribution(&d, 0.8, ev, &Pool::serial()).unwrap();
             assert_eq!(ans.len(), 16);
             for (row, &expected) in TABLE_IV.iter().enumerate() {
                 let got = ans[table_iv_index(row)];
@@ -658,7 +741,7 @@ mod tests {
     #[test]
     fn answer_table_backends_agree_on_running_example() {
         let d = paper_running_example();
-        let dense = AnswerTable::dense(&d, 0.8, AnswerEvaluator::Butterfly).unwrap();
+        let dense = dense_table(&d, 0.8);
         let sparse = AnswerTable::sparse(&d, 0.8).unwrap();
         assert_eq!(dense.num_facts(), 4);
         assert_eq!(dense.len(), 16);
@@ -729,9 +812,11 @@ mod tests {
         use crate::MAX_DENSE_FACTS;
         let truth = Assignment(0b1011);
         let d = JointDist::certain(MAX_DENSE_FACTS, truth).unwrap();
-        let table = full_answer_distribution(&d, 1.0, AnswerEvaluator::Butterfly).unwrap();
+        let table =
+            full_answer_distribution(&d, 1.0, AnswerEvaluator::Butterfly, &Pool::serial()).unwrap();
         assert_eq!(table.len(), 1usize << MAX_DENSE_FACTS);
         assert_eq!(table[truth.0 as usize], 1.0);
+        drop(table);
         let tasks = VarSet::all(MAX_DENSE_FACTS);
         assert!(answer_distribution(&d, tasks, 1.0, AnswerEvaluator::Butterfly).is_ok());
     }
@@ -745,12 +830,12 @@ mod tests {
         let n = MAX_DENSE_FACTS + 1;
         let d = JointDist::certain(n, Assignment(0b111)).unwrap();
         assert!(matches!(
-            full_answer_distribution(&d, 0.8, AnswerEvaluator::Naive),
+            full_answer_distribution(&d, 0.8, AnswerEvaluator::Naive, &Pool::serial()),
             Err(CoreError::TooManyFacts { requested, limit })
                 if requested == n && limit == MAX_DENSE_FACTS
         ));
         assert!(matches!(
-            full_answer_distribution(&d, 0.8, AnswerEvaluator::Butterfly),
+            full_answer_distribution(&d, 0.8, AnswerEvaluator::Butterfly, &Pool::serial()),
             Err(CoreError::TooManyFacts { .. })
         ));
         assert!(matches!(
@@ -758,7 +843,13 @@ mod tests {
             Err(CoreError::TooManyFacts { .. })
         ));
         assert!(matches!(
-            AnswerTable::dense(&d, 0.8, AnswerEvaluator::Butterfly),
+            AnswerTable::build(
+                &d,
+                0.8,
+                AnswerEvaluator::Butterfly,
+                TableBackend::Dense,
+                &Pool::serial()
+            ),
             Err(CoreError::TooManyFacts { .. })
         ));
         // Small task sets on the oversized entity remain legal: the limit
@@ -798,7 +889,7 @@ mod tests {
         assert_eq!(thin, sparse.clone().thin_to(support / 2).unwrap());
         // Zero budget is rejected; dense tables pass through unchanged.
         assert!(sparse.thin_to(0).is_err());
-        let dense = AnswerTable::dense(&d, 0.8, AnswerEvaluator::Butterfly).unwrap();
+        let dense = dense_table(&d, 0.8);
         let same_dense = dense.clone().thin_to(1).unwrap();
         assert_eq!(same_dense, dense);
     }
@@ -816,5 +907,59 @@ mod tests {
         for x in w {
             assert!((x - 0.25).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn table_backend_routing() {
+        let d = random_dist(5, 21);
+        let pool = Pool::new(2);
+        let build = |backend| {
+            AnswerTable::build(&d, 0.8, AnswerEvaluator::Butterfly, backend, &pool).unwrap()
+        };
+        let auto = build(TableBackend::Auto);
+        assert!(matches!(auto, AnswerTable::Dense { .. }));
+        assert_eq!(auto, build(TableBackend::Dense));
+        let sparse = build(TableBackend::Sparse);
+        assert_eq!(sparse, AnswerTable::sparse(&d, 0.8).unwrap());
+        // Both backends agree on every task-set distribution.
+        for bits in 0u64..(1 << 5) {
+            let tasks = VarSet(bits);
+            let a = auto.distribution(tasks).unwrap();
+            let b = sparse.distribution(tasks).unwrap();
+            for (x, y) in a.iter().zip(&b) {
+                assert!((x - y).abs() < 1e-12, "backend mismatch at {tasks}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_boundary_auto_switches_at_the_dense_limit() {
+        // n == MAX_DENSE_FACTS stays dense (checked at Pc = 1 so the
+        // 2^26 table is a cheap identity scatter); n == MAX_DENSE_FACTS+1
+        // flips Auto to sparse, while forcing Dense reproduces the old
+        // hard failure.
+        let pool = Pool::serial();
+        let build = |d: &JointDist, pc: f64, backend| {
+            AnswerTable::build(d, pc, AnswerEvaluator::Butterfly, backend, &pool)
+        };
+        let at_limit = JointDist::certain(MAX_DENSE_FACTS, Assignment(0b101)).unwrap();
+        let table = build(&at_limit, 1.0, TableBackend::Auto).unwrap();
+        assert!(matches!(table, AnswerTable::Dense { .. }));
+        assert_eq!(table.len(), 1usize << MAX_DENSE_FACTS);
+        drop(table);
+
+        let past = JointDist::certain(MAX_DENSE_FACTS + 1, Assignment(0b101)).unwrap();
+        let table = build(&past, 0.8, TableBackend::Auto).unwrap();
+        assert!(matches!(table, AnswerTable::Sparse { .. }));
+        assert_eq!(table.num_facts(), MAX_DENSE_FACTS + 1);
+        assert!(matches!(
+            build(&past, 0.8, TableBackend::Dense),
+            Err(CoreError::TooManyFacts { requested, limit })
+                if requested == MAX_DENSE_FACTS + 1 && limit == MAX_DENSE_FACTS
+        ));
+        assert!(matches!(
+            full_answer_distribution(&past, 0.8, AnswerEvaluator::Naive, &pool),
+            Err(CoreError::TooManyFacts { .. })
+        ));
     }
 }

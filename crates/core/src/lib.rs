@@ -12,7 +12,8 @@
 //!
 //! * [`model`] — fact triples and the [`model::FactSet`] container;
 //! * [`answers`] — the answer distribution of Equation 2 (naive and
-//!   butterfly evaluators) and the Bayesian merge of Equation 3;
+//!   butterfly evaluators, one pool-sharded body each), the preprocessed
+//!   answer table and the Bayesian merge of Equation 3;
 //! * [`selection`] — OPT, the `(1 − 1/e)` greedy (Algorithm 1), Theorem 3
 //!   pruning, Algorithm 2 preprocessing and the random baseline;
 //! * [`query`] — the query-based extension (Section IV);
@@ -25,8 +26,6 @@
 //! * [`metrics`] — utility and F1 bookkeeping;
 //! * [`pool`] — the fork–join worker pool every sharded computation runs
 //!   on (greedy candidates, preprocessing, entity rounds);
-//! * [`parallel`] — pool-sharded preprocessing (the paper notes the step
-//!   is MapReduce-friendly);
 //! * [`selection::engine`] — the cached-scatter incremental evaluator
 //!   behind the fast greedy configurations;
 //! * [`sched`] — the cross-session budget scheduler primitives (marginal
@@ -42,7 +41,6 @@ pub mod error;
 pub mod hardness;
 pub mod metrics;
 pub mod model;
-pub mod parallel;
 pub mod pool;
 pub mod prior;
 pub mod query;
@@ -87,4 +85,11 @@ pub fn validate_pc(pc: f64) -> Result<(), CoreError> {
     } else {
         Err(CoreError::InvalidAccuracy(pc))
     }
+}
+
+/// Thread-invariance tests of the pool-sharded Equation 2 bodies in
+/// [`answers`].
+#[cfg(test)]
+mod parallel {
+    mod tests;
 }

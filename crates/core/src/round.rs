@@ -45,6 +45,12 @@ impl RoundConfig {
             pc_assumed,
         })
     }
+
+    /// Re-runs [`RoundConfig::new`]'s checks on a decoded config — the
+    /// fields arrive through `Deserialize`, which skips them.
+    pub(crate) fn checked(self) -> Result<RoundConfig, CoreError> {
+        RoundConfig::new(self.k, self.budget, self.pc_assumed)
+    }
 }
 
 /// One entity (book) in an experiment: its prior, hidden gold truth and the

@@ -283,7 +283,8 @@ mod tests {
 
     #[test]
     fn one_pass_entropies_are_depth_zero_candidate_entropies_bit_for_bit() {
-        use crate::answers::AnswerTable;
+        use crate::answers::{AnswerTable, TableBackend};
+        use crate::pool::Pool;
         let sparse32 = JointDist::from_weights(
             32,
             (0..64u64).map(|i| {
@@ -307,7 +308,14 @@ mod tests {
                     &AnswerTable::sparse(&d, pc).unwrap(),
                 ));
                 if n <= 12 {
-                    let dense = AnswerTable::dense(&d, pc, AnswerEvaluator::Butterfly).unwrap();
+                    let dense = AnswerTable::build(
+                        &d,
+                        pc,
+                        AnswerEvaluator::Butterfly,
+                        TableBackend::Dense,
+                        &Pool::serial(),
+                    )
+                    .unwrap();
                     caches.push(ScatterCache::from_table(&dense));
                 }
                 let mut scratch = Vec::new();
@@ -325,11 +333,19 @@ mod tests {
 
     #[test]
     fn from_table_matches_direct_cache_for_both_backends() {
-        use crate::answers::{AnswerEvaluator, AnswerTable};
+        use crate::answers::{AnswerEvaluator, AnswerTable, TableBackend};
+        use crate::pool::Pool;
         let d = random_dist(6, 4);
         let pc = 0.8;
         let sparse = AnswerTable::sparse(&d, pc).unwrap();
-        let dense = AnswerTable::dense(&d, pc, AnswerEvaluator::Butterfly).unwrap();
+        let dense = AnswerTable::build(
+            &d,
+            pc,
+            AnswerEvaluator::Butterfly,
+            TableBackend::Dense,
+            &Pool::serial(),
+        )
+        .unwrap();
         let (mut from_sparse, sparse_pc) = ScatterCache::from_table(&sparse);
         let (mut from_dense, dense_pc) = ScatterCache::from_table(&dense);
         assert_eq!(sparse_pc, pc);

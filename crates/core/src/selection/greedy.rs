@@ -14,7 +14,6 @@
 
 use crate::answers::{answer_entropy, AnswerEvaluator, AnswerTable, TableBackend};
 use crate::error::CoreError;
-use crate::parallel::full_answer_table_pooled;
 use crate::pool::Pool;
 use crate::selection::engine::ScatterCache;
 use crate::selection::{validate_selection, TaskSelector};
@@ -548,7 +547,7 @@ impl GreedySelector {
         k_eff: usize,
     ) -> Result<Vec<usize>, CoreError> {
         let n = dist.num_vars();
-        let table = full_answer_table_pooled(dist, pc, self.evaluator, &self.pool, self.backend)?;
+        let table = AnswerTable::build(dist, pc, self.evaluator, self.backend, &self.pool)?;
         Ok(match &table {
             AnswerTable::Dense { probs, .. } => {
                 self.greedy_loop(n, k_eff, PartitionScorer::new(probs))

@@ -501,18 +501,21 @@ impl SessionState {
     /// the exact RNG stream and open round of the snapshotted one.
     ///
     /// Snapshots cross a trust boundary (`Restore` takes a file path), so
-    /// the budget invariants and the posterior's distribution invariants
-    /// are re-validated: a corrupt or hand-edited snapshot must not
-    /// restore into a state whose round close would underflow the budget
-    /// arithmetic, or whose next select scores a support that is not a
-    /// distribution. A valid posterior is restored bit for bit, never
-    /// renormalised.
+    /// the config, the budget invariants and the posterior's distribution
+    /// invariants are re-validated: a corrupt or hand-edited snapshot must
+    /// not restore into a state whose round close would underflow the
+    /// budget arithmetic, whose next select fails on its `k` or `pc`, or
+    /// whose next select scores a support that is not a distribution. A
+    /// valid posterior is restored bit for bit, never renormalised.
     pub fn from_snapshot(snap: SessionSnapshot) -> Result<SessionState, CoreError> {
         snap.case.validate()?;
         if let Some(open) = &snap.open {
             open.validate(snap.case.num_facts())?;
         }
         let invalid = |reason: String| Err(CoreError::InvalidSnapshot(reason));
+        if let Err(e) = snap.config.checked() {
+            return invalid(format!("session config: {e}"));
+        }
         // The next select indexes the case's prompts by the posterior's
         // facts: a posterior over a different fact count would panic there.
         if snap.dist.num_vars() != snap.case.num_facts() {
@@ -957,6 +960,21 @@ mod tests {
                     Err(CoreError::InvalidSnapshot(ref reason)) if reason.contains("posterior")
                 ),
                 "{entries} restored"
+            );
+        }
+        // A config `RoundConfig::new` refuses: `k = 0` would exhaust the
+        // session on its first select, and a pc outside [0.5, 1] fails
+        // every later one.
+        for (k, pc) in [(0, 0.8), (2, 0.3), (2, 2.0), (2, f64::NAN)] {
+            let mut snap = good.clone();
+            snap.config.k = k;
+            snap.config.pc_assumed = pc;
+            assert!(
+                matches!(
+                    SessionState::from_snapshot(snap),
+                    Err(CoreError::InvalidSnapshot(ref reason)) if reason.contains("config")
+                ),
+                "k {k} pc {pc} restored"
             );
         }
         // The untouched snapshot still restores.

@@ -309,11 +309,20 @@ impl ShardedRegistry {
     /// Rebuilds a registry from a snapshot, striping sessions over
     /// `shard_count` locks — which need not match the count the snapshot
     /// was taken under.
+    ///
+    /// Besides each session's own checks, the defaults must pass
+    /// [`RoundConfig::new`] (later `Open`s inherit them) and session ids
+    /// must be unique and below `next_index` (the next `Open` would
+    /// otherwise replace a restored session).
     pub fn from_snapshot(
         snap: RegistrySnapshot,
         pool: Pool,
         shard_count: usize,
     ) -> Result<ShardedRegistry, CoreError> {
+        let invalid = |reason: String| Err(CoreError::InvalidSnapshot(reason));
+        if let Err(e) = snap.defaults.checked() {
+            return invalid(format!("registry defaults: {e}"));
+        }
         let registry = ShardedRegistry::new(0, snap.defaults, pool, shard_count);
         {
             let mut master = lock(&registry.master);
@@ -321,8 +330,17 @@ impl ShardedRegistry {
             master.next_index = snap.next_index;
         }
         for numbered in snap.sessions {
+            let id = numbered.session;
+            if id >= snap.next_index {
+                return invalid(format!(
+                    "session id {id} at or above the next index {}",
+                    snap.next_index
+                ));
+            }
             let state = SessionState::from_snapshot(numbered.snapshot)?;
-            lock(registry.shard_of(numbered.session)).insert(numbered.session, state);
+            if lock(registry.shard_of(id)).insert(id, state).is_some() {
+                return invalid(format!("session id {id} listed twice"));
+            }
         }
         Ok(registry)
     }
@@ -422,6 +440,39 @@ mod tests {
             .open_batch(vec![specs()[0].clone()], None)
             .unwrap();
         assert_eq!(more_a, more_b);
+    }
+
+    #[test]
+    fn restore_rejects_bad_defaults_and_bad_session_ids() {
+        let registry = ShardedRegistry::new(7, config(), Pool::serial(), 2);
+        registry.open_batch(specs(), None).unwrap();
+        let good = registry.snapshot();
+        let rejected = |snap: RegistrySnapshot| {
+            matches!(
+                ShardedRegistry::from_snapshot(snap, Pool::serial(), 2),
+                Err(CoreError::InvalidSnapshot(_))
+            )
+        };
+        // Defaults every later `Open` would inherit.
+        for (k, pc) in [(0, 0.8), (2, 3.0), (0, 3.0), (2, f64::NAN)] {
+            let mut snap = good.clone();
+            snap.defaults.k = k;
+            snap.defaults.pc_assumed = pc;
+            assert!(rejected(snap), "defaults k {k} pc {pc} restored");
+        }
+        // A session id the next `Open` would be handed again.
+        let mut snap = good.clone();
+        snap.sessions[2].session = snap.next_index;
+        assert!(rejected(snap));
+        let mut snap = good.clone();
+        snap.next_index = 2;
+        assert!(rejected(snap));
+        // The same id twice: one of the two sessions would vanish.
+        let mut snap = good.clone();
+        snap.sessions[1].session = 0;
+        assert!(rejected(snap));
+        // The untouched snapshot still restores.
+        assert!(ShardedRegistry::from_snapshot(good, Pool::serial(), 2).is_ok());
     }
 
     #[test]

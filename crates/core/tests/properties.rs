@@ -3,6 +3,7 @@
 use crowdfusion_core::answers::{
     answer_distribution, answer_entropy, posterior, AnswerEvaluator, AnswerTable, TableBackend,
 };
+use crowdfusion_core::pool::Pool;
 use crowdfusion_core::query::{query_utility, truth_answer_joint_entropy};
 use crowdfusion_core::selection::{
     GreedySelector, OptSelector, PruneBound, RandomSelector, TaskSelector,
@@ -185,7 +186,8 @@ proptest! {
         let n = d.num_vars();
         let sparse = AnswerTable::sparse(&d, pc).unwrap();
         for evaluator in [AnswerEvaluator::Naive, AnswerEvaluator::Butterfly] {
-            let dense = AnswerTable::dense(&d, pc, evaluator).unwrap();
+            let dense =
+                AnswerTable::build(&d, pc, evaluator, TableBackend::Dense, &Pool::serial()).unwrap();
             for bits in 0u64..(1u64 << n) {
                 let tasks = VarSet(bits);
                 let a = dense.distribution(tasks).unwrap();

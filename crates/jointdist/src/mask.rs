@@ -64,23 +64,15 @@ impl Assignment {
     /// surviving bits into the low-order positions (in increasing variable
     /// order). The result indexes a dense table of size `2^|vars|`.
     ///
-    /// This is a software `PEXT` (parallel bit extract).
+    /// This is a software `PEXT` (parallel bit extract). A low run of
+    /// variables (`0..t`, including the full set) is already compact, so
+    /// its restriction is the plain mask.
     #[inline]
     pub fn extract(self, vars: VarSet) -> u64 {
-        let mut src = self.0 & vars.0;
-        let mut mask = vars.0;
-        let mut out = 0u64;
-        let mut out_bit = 0u32;
-        while mask != 0 {
-            let low = mask & mask.wrapping_neg();
-            if src & low != 0 {
-                out |= 1 << out_bit;
-            }
-            src &= !low;
-            mask &= !low;
-            out_bit += 1;
+        if vars.0 & vars.0.wrapping_add(1) == 0 {
+            return self.0 & vars.0;
         }
-        out
+        pext(self.0, vars.0)
     }
 
     /// Inverse of [`Assignment::extract`]: scatters the low `|vars|` bits of
@@ -254,6 +246,26 @@ impl Iterator for VarSetIter {
 
 impl ExactSizeIterator for VarSetIter {}
 
+/// The bit-by-bit parallel extract behind [`Assignment::extract`]: the
+/// bits of `src` under `mask`, compacted into the low positions.
+#[inline]
+fn pext(src: u64, mask: u64) -> u64 {
+    let mut src = src & mask;
+    let mut mask = mask;
+    let mut out = 0u64;
+    let mut out_bit = 0u32;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        if src & low != 0 {
+            out |= 1 << out_bit;
+        }
+        src &= !low;
+        mask &= !low;
+        out_bit += 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,6 +300,22 @@ mod tests {
         assert_eq!(Assignment(0b1000).extract(vars), 0b10);
         assert_eq!(Assignment(0b0010).extract(vars), 0b01);
         assert_eq!(Assignment(0b0101).extract(vars), 0b00);
+    }
+
+    #[test]
+    fn extract_of_a_low_run_matches_the_pext_loop() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 0..=64 {
+            let vars = VarSet::all(n);
+            for a in [0, 1, 0b1011, u64::MAX, x, !x] {
+                assert_eq!(
+                    Assignment(a).extract(vars),
+                    pext(a, vars.0),
+                    "{a:#x} on 0..{n}"
+                );
+            }
+            x = x.rotate_left(7) ^ (x >> 3);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! **Invariant:** on-disk state always reconstructs in-memory state.
 //! Every mutation is journalled before it is applied; snapshots are
-//! written to a `.tmp` sibling, fsynced, renamed over the live file, and
-//! only *then* is the journal truncated. Each crash window therefore
+//! written to a `.tmp` sibling, fsynced, renamed over the live file, the
+//! directory is fsynced, and only *then* is the journal truncated. Each crash window therefore
 //! recovers:
 //!
 //! * before the journal append — the effect never happened;
@@ -27,12 +27,11 @@
 //! not reset at truncation), so a stale journal can never replay into a
 //! newer snapshot.
 
-use crate::fault::{FaultAction, FaultPlan, FaultPoint, SimulatedCrash};
+use crate::fault::FaultPlan;
 use crate::journal::{read_journal, JournalWriter, Record};
 use crate::sched::SchedSnapshot;
 use crowdfusion_core::session::{OpenedSession, RegistrySnapshot};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -254,37 +253,19 @@ impl Durability {
         self.config.snapshot_every > 0 && self.since_snapshot >= self.config.snapshot_every
     }
 
-    /// Writes `snapshot` durably (tmp → fsync → rename) and truncates the
-    /// journal it supersedes. On any error the previous snapshot and the
+    /// Writes `snapshot` durably (tmp → fsync → rename → directory fsync)
+    /// and truncates the journal it supersedes. On any error the previous snapshot and the
     /// journal are still intact — recovery works from them.
     pub fn snapshot_now(&mut self, snapshot: &DurableSnapshot) -> io::Result<()> {
         // The journal must be durable before the snapshot claims to cover
         // it (a crash mid-snapshot falls back to snapshot' + journal).
         self.writer.sync()?;
-        let live = self.config.dir.join(SNAPSHOT_FILE);
-        let tmp = live.with_extension("tmp");
         let text = crate::protocol::encode(snapshot);
-        match self.faults.check(FaultPoint::SnapshotWrite) {
-            None => std::fs::write(&tmp, &text)?,
-            Some(FaultAction::Crash) => {
-                return Err(SimulatedCrash {
-                    point: FaultPoint::SnapshotWrite,
-                }
-                .into())
-            }
-            Some(FaultAction::Torn { keep_bytes }) => {
-                let keep = keep_bytes.min(text.len());
-                std::fs::write(&tmp, &text.as_bytes()[..keep])?;
-                return Err(SimulatedCrash {
-                    point: FaultPoint::SnapshotWrite,
-                }
-                .into());
-            }
-            Some(other) => panic!("snapshot write cannot honour {other:?}"),
-        }
-        File::open(&tmp)?.sync_all()?;
-        self.faults.crash_if_scheduled(FaultPoint::SnapshotRename)?;
-        std::fs::rename(&tmp, &live)?;
+        crate::snapshot::replace_file(
+            &self.config.dir.join(SNAPSHOT_FILE),
+            text.as_bytes(),
+            &self.faults,
+        )?;
         self.writer.truncate_all()?;
         self.since_snapshot = 0;
         Ok(())
@@ -304,6 +285,7 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultAction, FaultPoint};
     use crate::journal::Effect;
     use crowdfusion_core::pool::Pool;
     use crowdfusion_core::round::RoundConfig;

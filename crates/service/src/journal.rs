@@ -216,7 +216,9 @@ pub fn read_journal(path: &Path) -> std::io::Result<JournalContents> {
 /// writer rolls the file back to the last good frame boundary so later
 /// appends stay readable; if even the rollback fails, the writer poisons
 /// itself and every subsequent operation errors — better a loudly dead
-/// journal than one silently interleaving good frames with garbage.
+/// journal than one silently interleaving good frames with garbage. A
+/// failed fsync poisons it too: the kernel may already have dropped the
+/// dirty pages, so a later fsync could report success over lost frames.
 pub struct JournalWriter {
     file: File,
     /// Bytes of well-formed frames currently on disk.
@@ -267,11 +269,7 @@ impl JournalWriter {
     /// Appends one record. The record is durable once this returns and a
     /// subsequent [`JournalWriter::sync`] (or batched fsync) completes.
     pub fn append(&mut self, record: &Record) -> std::io::Result<()> {
-        if self.poisoned {
-            return Err(std::io::Error::other(
-                "journal writer poisoned by an earlier unrecoverable write error",
-            ));
-        }
+        self.live()?;
         let frame = encode_frame(record);
         match self.faults.check(FaultPoint::JournalAppend) {
             None => {}
@@ -306,13 +304,20 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Forces any batched appends to disk.
+    /// Forces any batched appends to disk. Any failure poisons the
+    /// writer.
     pub fn sync(&mut self) -> std::io::Result<()> {
+        self.live()?;
         if self.pending == 0 {
             return Ok(());
         }
-        self.faults.crash_if_scheduled(FaultPoint::JournalSync)?;
-        self.file.sync_data()?;
+        let synced = self
+            .faults
+            .crash_if_scheduled(FaultPoint::JournalSync)
+            .map_err(std::io::Error::from)
+            .and_then(|()| self.file.sync_data());
+        self.poisoned = synced.is_err();
+        synced?;
         self.pending = 0;
         Ok(())
     }
@@ -320,11 +325,7 @@ impl JournalWriter {
     /// Empties the journal — called right after a snapshot becomes
     /// durable, making the snapshot the new recovery base.
     pub fn truncate_all(&mut self) -> std::io::Result<()> {
-        if self.poisoned {
-            return Err(std::io::Error::other(
-                "journal writer poisoned by an earlier unrecoverable write error",
-            ));
-        }
+        self.live()?;
         self.faults
             .crash_if_scheduled(FaultPoint::JournalTruncate)?;
         self.file.set_len(0)?;
@@ -332,6 +333,17 @@ impl JournalWriter {
         self.file.sync_data()?;
         self.len = 0;
         self.pending = 0;
+        Ok(())
+    }
+
+    /// Refuses every operation once an unrecoverable write or fsync
+    /// error has poisoned the writer.
+    fn live(&self) -> std::io::Result<()> {
+        if self.poisoned {
+            return Err(std::io::Error::other(
+                "journal writer poisoned by an earlier unrecoverable write or fsync error",
+            ));
+        }
         Ok(())
     }
 
@@ -601,6 +613,22 @@ mod tests {
         let contents = read_journal(&path).unwrap();
         assert_eq!(contents.records, records[..1]);
         assert!(contents.torn, "5 stray bytes must register as torn");
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_writer() {
+        let path = temp_journal();
+        let plan = FaultPlan::none().on(FaultPoint::JournalSync, 1, FaultAction::Crash);
+        let mut writer = JournalWriter::open(&path, 0, usize::MAX, plan).unwrap();
+        let records = sample_records(2);
+        writer.append(&records[0]).unwrap();
+        let err = writer.sync().unwrap_err();
+        assert!(crate::fault::is_simulated_crash(&err));
+        // The pages behind the failed fsync may be gone: neither a retried
+        // sync nor a fresh append may report success.
+        assert!(writer.sync().is_err());
+        assert!(writer.append(&records[1]).is_err());
+        assert!(writer.truncate_all().is_err());
     }
 
     #[test]

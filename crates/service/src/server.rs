@@ -24,7 +24,10 @@
 //! (each journalling its effect), then a single [`Service::flush_wal`]
 //! makes the whole batch durable, and only then are the batch's replies
 //! written — one fsync per batch instead of one per request, with no
-//! reply ever racing ahead of its journal record.
+//! reply ever racing ahead of its journal record. A failed flush is
+//! fail-stop on both: its batch's replies are withheld and the transport
+//! returns the error (over TCP every reactor first closes its
+//! connections unflushed).
 //!
 //! The optional read deadline is enforced by the reactors' timer sweep
 //! off the service [`Clock`] — not `SO_RCVTIMEO` — closing connections
@@ -303,6 +306,9 @@ struct Reactor {
     /// Every reactor's waker, `wakers[index]` being this reactor's own.
     wakers: Arc<Vec<Waker>>,
     accepted: Arc<AtomicUsize>,
+    /// The first failed journal flush, shared by every reactor: once set,
+    /// all of them stop without delivering another reply.
+    failure: Arc<Mutex<Option<io::Error>>>,
     /// Round-robin deal cursor (reactor 0 only).
     deal: usize,
 }
@@ -504,11 +510,19 @@ impl Reactor {
                 }
             }
             // Group commit: one sync covers every effect this batch
-            // journalled, before any of its replies reaches a socket.
+            // journalled, before any of its replies reaches a socket. A
+            // failed sync may have lost those effects, so nothing of the
+            // batch is acknowledged: every reactor stops.
             if handled > 0 {
                 if let Err(err) = self.service.flush_wal() {
-                    eprintln!("crowdfusion-serve: journal flush failed: {err}");
+                    lock(&self.failure).get_or_insert(err);
+                    for waker in self.wakers.iter() {
+                        waker.wake();
+                    }
                 }
+            }
+            if lock(&self.failure).is_some() {
+                break;
             }
             self.flush_pass();
             self.sweep_deadlines();
@@ -520,12 +534,16 @@ impl Reactor {
                 break;
             }
         }
-        // Final drain: push out whatever queued (the `Bye`, typically),
-        // then close everything so idle clients see EOF immediately.
+        // Final drain: push out whatever queued (the `Bye`, typically) —
+        // unless a journal flush failed — then close everything so idle
+        // clients see EOF immediately.
+        let failed = lock(&self.failure).is_some();
         let tokens: Vec<usize> = self.conns.keys().copied().collect();
         for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let _ = flush_conn(conn);
+            if !failed {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    let _ = flush_conn(conn);
+                }
             }
             self.close_conn(token);
         }
@@ -533,7 +551,9 @@ impl Reactor {
 }
 
 /// Serves the daemon over TCP until a `Shutdown` request arrives.
-/// Returns the number of connections accepted.
+/// Returns the number of connections accepted, or the error of the first
+/// failed group-commit flush: that stops every reactor and closes every
+/// connection without delivering another reply.
 ///
 /// The daemon is long-lived, so the serving layer must neither leak nor
 /// die: connections live as small buffered state machines on a fixed
@@ -546,6 +566,7 @@ impl Reactor {
 pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> io::Result<usize> {
     let reactor_count = service.threads().clamp(1, MAX_REACTORS);
     let accepted = Arc::new(AtomicUsize::new(0));
+    let failure = Arc::new(Mutex::new(None));
     let mut pollers = Vec::with_capacity(reactor_count);
     let mut wakers = Vec::with_capacity(reactor_count);
     let mut inboxes = Vec::with_capacity(reactor_count);
@@ -572,6 +593,7 @@ pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> io::Result<usi
             inboxes: Arc::clone(&inboxes),
             wakers: Arc::clone(&wakers),
             accepted: Arc::clone(&accepted),
+            failure: Arc::clone(&failure),
             deal: 0,
         };
         // analyze: allow(adhoc-thread) — reactor threads are connection
@@ -583,7 +605,8 @@ pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> io::Result<usi
     for handle in handles {
         let _ = handle.join();
     }
-    Ok(accepted.load(Ordering::Relaxed))
+    let failure = lock(&failure).take();
+    failure.map_or_else(|| Ok(accepted.load(Ordering::Relaxed)), Err)
 }
 
 /// Retry tuning for [`Client::roundtrip_retrying`]: deterministic capped

@@ -108,10 +108,10 @@ impl SelectorChoice {
         }
     }
 
-    /// Builds the selector. The selector stays serial for the same reason
-    /// the offline sharded runner keeps it serial: session work already
-    /// saturates the pool's workers.
-    fn build(self) -> Box<dyn TaskSelector + Send + Sync> {
+    /// Builds the selector. It stays serial: session (or entity) work
+    /// already saturates the pool's workers, and nesting an N-thread
+    /// selector inside N workers would oversubscribe to ~N².
+    pub fn build(self) -> Box<dyn TaskSelector + Send + Sync> {
         match self {
             SelectorChoice::Greedy => Box::new(GreedySelector::fast()),
             SelectorChoice::GreedyPre => Box::new(GreedySelector::fast().with_preprocess()),

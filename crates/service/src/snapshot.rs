@@ -4,20 +4,57 @@
 //! posteriors, budget ledgers, selector RNG states, partially answered
 //! open rounds and the master RNG state — so a restarted daemon continues
 //! every session mid-round, and future `open`s continue the same seed
-//! schedule. Writes go through a `.tmp` sibling plus rename, so a crash
-//! mid-write never clobbers the previous good snapshot.
+//! schedule. Both snapshot writers — this module's client export and the
+//! durability layer's auto-snapshot — replace their file through
+//! `replace_file`, so a crash mid-write never clobbers the previous good
+//! snapshot and a completed replace survives a power cut.
 
+use crate::fault::{FaultAction, FaultPlan, FaultPoint, SimulatedCrash};
 use crowdfusion_core::session::RegistrySnapshot;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
 
-/// Writes a registry snapshot atomically (`path.tmp` then rename).
+/// Writes a registry snapshot atomically and durably: a `path.tmp`
+/// sibling, fsynced, renamed over `path`, then a directory fsync.
 pub fn save(snapshot: &RegistrySnapshot, path: &Path) -> io::Result<()> {
     let text = serde_json::to_string(snapshot)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    replace_file(path, text.as_bytes(), &FaultPlan::none())
+}
+
+/// Replaces `path` with `bytes`: write a `path.tmp` sibling, fsync it,
+/// rename it over `path`, then fsync the directory. The last step makes
+/// the rename itself durable — POSIX does not order it before a later
+/// write to another file, such as the journal truncate that follows an
+/// auto-snapshot. `faults` is checked at [`FaultPoint::SnapshotWrite`]
+/// and [`FaultPoint::SnapshotRename`].
+pub(crate) fn replace_file(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    let crash = SimulatedCrash {
+        point: FaultPoint::SnapshotWrite,
+    };
+    match faults.check(FaultPoint::SnapshotWrite) {
+        None => {}
+        Some(FaultAction::Crash) => return Err(crash.into()),
+        Some(FaultAction::Torn { keep_bytes }) => {
+            // Persist a prefix — what a power cut mid-write leaves — then
+            // die.
+            std::fs::write(&tmp, &bytes[..keep_bytes.min(bytes.len())])?;
+            return Err(crash.into());
+        }
+        Some(other) => panic!("snapshot write cannot honour {other:?}"),
+    }
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    faults.crash_if_scheduled(FaultPoint::SnapshotRename)?;
+    std::fs::rename(&tmp, path)?;
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
 /// Reads a registry snapshot.

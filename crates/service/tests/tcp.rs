@@ -277,3 +277,57 @@ fn shutdown_closes_every_connection_socket() {
         ),
     }
 }
+
+#[test]
+fn a_failed_group_commit_sync_acknowledges_nothing_and_stops_the_daemon() {
+    // The batch carrying one `Open` fails its fsync. The journal may have
+    // lost the effect, so the daemon never answers `Opened`: it closes
+    // the connection and `serve_tcp` returns the failure instead of
+    // serving on over a poisoned journal.
+    use crowdfusion_service::fault::as_simulated_crash;
+    use crowdfusion_service::protocol::encode;
+    use crowdfusion_service::DurabilityConfig;
+    use std::io::{Read, Write};
+
+    let dir = std::env::temp_dir().join(format!(
+        "crowdfusion-tcp-sync-failure-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = config();
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.group_commit = true;
+    config.durability = Some(durability);
+    config.faults = FaultPlan::none().on(FaultPoint::JournalSync, 1, FaultAction::Crash);
+    let (addr, daemon) = spawn_daemon(Arc::new(Service::new(config).unwrap()));
+
+    let open = Request::Open {
+        request: None,
+        entities: vec![spec()],
+        k: None,
+        budget: None,
+        pc: None,
+    };
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(format!("{}\n", encode(&open)).as_bytes())
+        .unwrap();
+    let mut replies = Vec::new();
+    stream
+        .read_to_end(&mut replies)
+        .expect("the daemon closes the connection");
+    assert!(
+        replies.is_empty(),
+        "acknowledged over a failed sync: {}",
+        String::from_utf8_lossy(&replies)
+    );
+    let err = daemon.join().unwrap().unwrap_err();
+    assert_eq!(
+        as_simulated_crash(&err).map(|crash| crash.point),
+        Some(FaultPoint::JournalSync)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -32,7 +32,7 @@ use crate::pipeline::entity_cases_from_books;
 use crowdfusion_core::metrics::quality_points_to_csv;
 use crowdfusion_core::pool::Pool;
 use crowdfusion_core::round::RoundConfig;
-use crowdfusion_core::selection::{GreedySelector, RandomSelector, TaskSelector};
+use crowdfusion_core::selection::{GreedySelector, TaskSelector};
 use crowdfusion_core::system::Experiment;
 use crowdfusion_crowd::{CrowdPlatform, UniformAccuracy, WorkerPool};
 use crowdfusion_datagen::book::generate as generate_books;
@@ -41,6 +41,7 @@ use crowdfusion_datagen::{export, BookGenConfig, CountryGenConfig, GeneratedBook
 use crowdfusion_fusion::{
     FusionMethod, FusionReport, FusionResult, StrategyRegistry, DEFAULT_METHOD,
 };
+use crowdfusion_service::SelectorChoice;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -282,19 +283,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 })
                 .transpose()?
                 .or_else(crowdfusion_core::pool::threads_from_env);
-            let selector_name = flags.take("selector", "greedy".to_string())?;
-            // The selector stays serial: the entities already saturate the
-            // pool's workers, and nesting an N-thread selector inside N
-            // entity workers would oversubscribe to ~N².
-            let selector: Box<dyn TaskSelector> = match selector_name.as_str() {
-                "greedy" => Box::new(GreedySelector::fast()),
-                // Algorithm 2 preprocessing; beyond MAX_DENSE_FACTS the
-                // answer table switches to the sparse backend, so book
-                // entities with 26+ facts refine end to end.
-                "greedy-pre" => Box::new(GreedySelector::fast().with_preprocess()),
-                "random" => Box::new(RandomSelector),
-                other => return Err(format!("unknown selector {other:?}")),
-            };
+            // The daemon's selector table: the same names build the same
+            // serial selectors, so an offline run is comparable to a served
+            // one.
+            let selector =
+                SelectorChoice::parse(&flags.take("selector", "greedy".to_string())?)?.build();
             let config = RoundConfig::new(k, budget, pc).map_err(|e| e.to_string())?;
             let experiment = Experiment::new(cases, config).map_err(|e| e.to_string())?;
             let mut platform = CrowdPlatform::new(
