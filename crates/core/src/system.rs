@@ -25,6 +25,7 @@ use crate::session::{PublishedRound, SelectOutcome, SessionState};
 use crowdfusion_crowd::{AnswerModel, AnswerStreams, CrowdPlatform, RoundBatch};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// A multi-entity CrowdFusion experiment.
 #[derive(Debug, Clone)]
@@ -113,6 +114,14 @@ impl Experiment {
     ///    per entity, drawn from per-entity [`AnswerStreams`];
     /// 3. **absorb** (parallel): every session closes its round.
     ///
+    /// The sessions are built on the pool, and the parallel phases hand
+    /// them out one per steal, largest prior support first (ties to the
+    /// lower entity index): select and close each cost about one pass over
+    /// the support, so the heavy entities start first and the light ones
+    /// fill in behind them. The batch, the demuxed answers, the error
+    /// returned (the lowest failing entity's) and the series stay in
+    /// entity order.
+    ///
     /// Every random stream (selector and crowd) is a pure function of the
     /// entity index and the master RNG's state on entry, so the returned
     /// trace is **identical for any thread count** and identical to a
@@ -147,28 +156,43 @@ impl Experiment {
             .map(|_| (rng.next_u64(), rng.next_u64()))
             .collect();
         let mut streams = AnswerStreams::from_seeds(seeds.iter().map(|&(p, _)| p));
-        let mut drivers = self
-            .cases
+        // Heaviest first, ties to the lower entity index: the order the
+        // pool hands the drivers out in, one per steal.
+        let mut order: Vec<usize> = (0..self.cases.len()).collect();
+        order.sort_by_key(|&i| (Reverse(self.cases[i].prior.support_size()), i));
+        // `slot[i]` is where entity `i`'s driver is stored.
+        let mut slot = vec![0; order.len()];
+        for (at, &i) in order.iter().enumerate() {
+            slot[i] = at;
+        }
+        let mut built: Vec<Option<Result<Driver, CoreError>>> = Vec::new();
+        built.resize_with(order.len(), || None);
+        pool.for_each_chunk(&mut built, 1, |at, built| {
+            let index = order[at];
+            let case = self.cases[index].clone();
+            let state = SessionState::new(case, self.config, seeds[index].1, (index as u64) << 32);
+            built[0] = Some(state.map(|state| Driver {
+                state,
+                round: None,
+                answers: None,
+                error: None,
+            }));
+        });
+        if let Some(e) = slot
             .iter()
-            .zip(&seeds)
-            .enumerate()
-            .map(|(i, (case, &(_, selector_seed)))| {
-                let state =
-                    SessionState::new(case.clone(), self.config, selector_seed, (i as u64) << 32)?;
-                Ok(Driver {
-                    state,
-                    round: None,
-                    answers: None,
-                    error: None,
-                })
-            })
+            .find_map(|&at| built[at].as_ref()?.as_ref().err())
+        {
+            return Err(e.clone());
+        }
+        let mut drivers = built
+            .into_iter()
+            .flatten()
             .collect::<Result<Vec<Driver>, CoreError>>()?;
-        let chunk = pool.chunk_size(drivers.len());
 
         loop {
             // Phase 1 — select: every live session opens its round on the
-            // pool (each driver is touched by exactly one worker).
-            pool.for_each_chunk(&mut drivers, chunk, |_, chunk| {
+            // pool, one driver per steal.
+            pool.for_each_chunk(&mut drivers, 1, |_, chunk| {
                 for d in chunk.iter_mut() {
                     match d.state.select(selector) {
                         Ok(SelectOutcome::Round(round)) => d.round = Some(round),
@@ -177,7 +201,7 @@ impl Experiment {
                     }
                 }
             });
-            if let Some(e) = drivers.iter_mut().find_map(|d| d.error.take()) {
+            if let Some(e) = slot.iter().find_map(|&at| drivers[at].error.take()) {
                 return Err(e);
             }
 
@@ -185,8 +209,8 @@ impl Experiment {
             // round, in entity order; demux the answers back.
             let mut batch = RoundBatch::new();
             let mut asked = Vec::new();
-            for (i, d) in drivers.iter_mut().enumerate() {
-                if let Some(round) = d.round.take() {
+            for (i, &at) in slot.iter().enumerate() {
+                if let Some(round) = drivers[at].round.take() {
                     let (tasks, truths) = round.into_crowd_batch(self.cases[i].gold);
                     batch.push_group(i, tasks, truths);
                     asked.push(i);
@@ -197,11 +221,13 @@ impl Experiment {
             }
             let demuxed = platform.publish_batch(&batch, &mut streams)?;
             for (i, answers) in asked.into_iter().zip(demuxed) {
-                drivers[i].answers = Some(answers.iter().map(|a| (a.task.0, a.value)).collect());
+                drivers[slot[i]].answers =
+                    Some(answers.iter().map(|a| (a.task.0, a.value)).collect());
             }
 
-            // Phase 3 — absorb: close every open round on the pool.
-            pool.for_each_chunk(&mut drivers, chunk, |_, chunk| {
+            // Phase 3 — absorb: close every open round on the pool, one
+            // driver per steal.
+            pool.for_each_chunk(&mut drivers, 1, |_, chunk| {
                 for d in chunk.iter_mut() {
                     if let Some(answers) = d.answers.take() {
                         if let Err(e) = d.state.absorb(&answers) {
@@ -210,12 +236,15 @@ impl Experiment {
                     }
                 }
             });
-            if let Some(e) = drivers.iter_mut().find_map(|d| d.error.take()) {
+            if let Some(e) = slot.iter().find_map(|&at| drivers[at].error.take()) {
                 return Err(e);
             }
         }
 
-        let series: Vec<EntitySeries> = drivers.iter().map(|d| d.state.series().clone()).collect();
+        let series: Vec<EntitySeries> = slot
+            .iter()
+            .map(|&at| drivers[at].state.series().clone())
+            .collect();
         Ok(assemble_trace(&series, selector.name()))
     }
 }
@@ -269,6 +298,9 @@ mod tests {
     use crowdfusion_jointdist::{Assignment, JointDist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn platform(pc: f64, seed: u64) -> CrowdPlatform<UniformAccuracy> {
         CrowdPlatform::new(
@@ -423,6 +455,144 @@ mod tests {
             .unwrap();
         assert_eq!(trace.points.len(), 1);
         assert_eq!(trace.points[0].cost, 0);
+    }
+
+    /// Holds the first select of the entity with `heavy` facts until every
+    /// other entity has selected once (2 s at most), then picks like
+    /// [`RandomSelector`].
+    struct HoldHeaviest {
+        heavy: usize,
+        others: usize,
+        selected: Mutex<usize>,
+        ran: Condvar,
+        held: AtomicBool,
+        timed_out: AtomicBool,
+    }
+
+    impl TaskSelector for HoldHeaviest {
+        fn name(&self) -> String {
+            RandomSelector.name()
+        }
+
+        fn select(
+            &self,
+            dist: &JointDist,
+            pc: f64,
+            k: usize,
+            rng: &mut dyn RngCore,
+        ) -> Result<Vec<usize>, CoreError> {
+            let mut selected = self.selected.lock().unwrap();
+            if dist.num_vars() != self.heavy {
+                *selected += 1;
+                self.ran.notify_all();
+            } else if !self.held.swap(true, Ordering::SeqCst) {
+                let timeout = Duration::from_secs(2);
+                let wait = self
+                    .ran
+                    .wait_timeout_while(selected, timeout, |n| *n < self.others)
+                    .unwrap()
+                    .1;
+                self.timed_out.store(wait.timed_out(), Ordering::SeqCst);
+            }
+            RandomSelector.select(dist, pc, k, rng)
+        }
+    }
+
+    #[test]
+    fn sharded_run_hands_out_the_heaviest_entity_alone() {
+        // The heaviest entity comes first in entity order and its first
+        // select waits for every other entity's. On two workers that ends
+        // only if the other worker takes the light entities one by one; a
+        // contiguous half would queue two of them behind the heavy one.
+        let mut entities = vec![EntityCase::simple(
+            "heavy",
+            JointDist::uniform(5).unwrap(),
+            Assignment(0b10110),
+        )];
+        entities.extend(cases());
+        entities.push(EntityCase::simple(
+            "pair",
+            JointDist::uniform(2).unwrap(),
+            Assignment(0b01),
+        ));
+        let config = RoundConfig::new(1, 3, 0.8).unwrap();
+        let exp = Experiment::new(entities, config).unwrap();
+        let hold = HoldHeaviest {
+            heavy: 5,
+            others: exp.cases().len() - 1,
+            selected: Mutex::new(0),
+            ran: Condvar::new(),
+            held: AtomicBool::new(false),
+            timed_out: AtomicBool::new(false),
+        };
+        let mut p = platform(0.8, 5);
+        let mut rng = StdRng::seed_from_u64(6);
+        let trace = exp
+            .run_sharded(&hold, &mut p, &mut rng, &Pool::new(2))
+            .unwrap();
+        assert!(hold.held.load(Ordering::SeqCst));
+        assert!(
+            !hold.timed_out.load(Ordering::SeqCst),
+            "a light entity queued behind the heaviest one"
+        );
+        let mut p = platform(0.8, 5);
+        let mut rng = StdRng::seed_from_u64(6);
+        let serial = exp
+            .run_sharded(&RandomSelector, &mut p, &mut rng, &Pool::serial())
+            .unwrap();
+        assert_eq!(trace, serial);
+    }
+
+    /// Refuses every entity with more than two facts.
+    struct RefuseLarge;
+
+    impl TaskSelector for RefuseLarge {
+        fn name(&self) -> String {
+            "refuse-large".to_string()
+        }
+
+        fn select(
+            &self,
+            dist: &JointDist,
+            pc: f64,
+            k: usize,
+            rng: &mut dyn RngCore,
+        ) -> Result<Vec<usize>, CoreError> {
+            match dist.num_vars() {
+                n if n > 2 => Err(CoreError::TooManyFacts {
+                    requested: n,
+                    limit: 2,
+                }),
+                _ => RandomSelector.select(dist, pc, k, rng),
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_run_returns_the_lowest_failing_entity_error() {
+        // Entities 0 (3 facts) and 1 (5 facts) both fail; entity 1 runs
+        // first, yet entity 0's error is the one returned.
+        let config = RoundConfig::new(1, 2, 0.8).unwrap();
+        let cases = [3usize, 5, 2, 2]
+            .iter()
+            .map(|&n| EntityCase::simple("e", JointDist::uniform(n).unwrap(), Assignment(0)))
+            .collect();
+        let exp = Experiment::new(cases, config).unwrap();
+        for threads in [1usize, 2, 4, 7] {
+            let mut p = platform(0.8, 1);
+            let mut rng = StdRng::seed_from_u64(2);
+            let err = exp
+                .run_sharded(&RefuseLarge, &mut p, &mut rng, &Pool::new(threads))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::TooManyFacts {
+                    requested: 3,
+                    limit: 2
+                },
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]
