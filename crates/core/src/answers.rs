@@ -40,7 +40,6 @@ use crate::error::CoreError;
 use crate::pool::Pool;
 use crate::{validate_pc, MAX_DENSE_FACTS};
 use crowdfusion_jointdist::{entropy_of_probs, Assignment, JointDist, VarSet};
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// Which algorithm computes answer distributions.
@@ -70,20 +69,14 @@ pub enum TableBackend {
 ///
 /// The dense variant is the paper's literal table: `probs[pattern]` is
 /// `P(Ans = pattern)` with the crowd channel already applied, `2^n`
-/// entries. The sparse variant lifts the dense `2^n` ceiling: it stores a
-/// sorted `(pattern, probability)` support together with the *residual*
-/// channel accuracy `pc` to apply at evaluation time. Because the
-/// per-fact binary symmetric channel commutes with marginalisation, the
-/// answer distribution of any task set `T` is recovered exactly from the
-/// sparse form by scattering the support onto the `2^|T|` lattice and
-/// applying the `|T|`-stage channel butterfly — `O(|O| + |T|·2^|T|)`
-/// instead of `O(2^n)`.
-///
-/// Two sparse constructions exist: [`AnswerTable::sparse`] is **exact**
-/// (the support is the output distribution itself, residual channel
-/// `pc`), and [`AnswerTable::sampled`] is a Monte-Carlo histogram of
-/// noisy answers (residual channel 1 — the noise is baked into the
-/// samples) built on [`JointDist::noisy_sparse`].
+/// entries. The sparse variant lifts the dense `2^n` ceiling: it stores
+/// the output distribution's own sorted `(pattern, probability)` support
+/// together with the channel accuracy `pc` to apply at evaluation time
+/// ([`AnswerTable::sparse`]). Because the per-fact binary symmetric
+/// channel commutes with marginalisation, the answer distribution of any
+/// task set `T` is recovered exactly from the sparse form by scattering
+/// the support onto the `2^|T|` lattice and applying the `|T|`-stage
+/// channel butterfly — `O(|O| + |T|·2^|T|)` instead of `O(2^n)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnswerTable {
     /// Dense channel-applied probabilities over all `2^n` patterns.
@@ -93,13 +86,13 @@ pub enum AnswerTable {
         /// `probs[pattern]` = P(Ans = pattern); length `2^n`.
         probs: Vec<f64>,
     },
-    /// Sorted sparse `(pattern, probability)` support plus the residual
-    /// channel accuracy to apply at evaluation time.
+    /// Sorted sparse `(pattern, probability)` support plus the channel
+    /// accuracy to apply at evaluation time.
     Sparse {
         /// Number of facts.
         n: usize,
-        /// Residual per-fact channel accuracy (1 = channel already
-        /// applied to the support).
+        /// Per-fact crowd accuracy `Pc`, applied to the support at
+        /// evaluation time.
         pc: f64,
         /// Sorted (judgment pattern, probability) pairs.
         entries: Vec<(u64, f64)>,
@@ -147,48 +140,6 @@ impl AnswerTable {
         })
     }
 
-    /// A Monte-Carlo sparse table: `draws` noisy answer sets sampled
-    /// through the channel ([`JointDist::noisy_sparse`]); the residual
-    /// channel is the identity because the noise is baked into the
-    /// histogram. Approximation error is `O(1/√draws)`.
-    pub fn sampled(
-        dist: &JointDist,
-        pc: f64,
-        draws: usize,
-        rng: &mut dyn RngCore,
-    ) -> Result<AnswerTable, CoreError> {
-        validate_pc(pc)?;
-        let noisy = dist.noisy_sparse(pc, draws, rng)?;
-        Ok(AnswerTable::Sparse {
-            n: dist.num_vars(),
-            pc: 1.0,
-            entries: noisy.iter().map(|(a, p)| (a.0, p)).collect(),
-        })
-    }
-
-    /// Thins a sparse table's support to at most `budget` entries — the
-    /// answer-side growth control sharing one algorithm
-    /// ([`crowdfusion_jointdist::thin_support`]) with
-    /// [`crowdfusion_jointdist::JointDist::thin_to`]. The `budget`
-    /// highest-probability patterns are kept (ties toward the smaller
-    /// pattern) and the trimmed mass is reinstated by renormalising the
-    /// kept support, so the table's total mass is preserved exactly; the
-    /// residual channel `pc` then spreads that reinstated mass across the
-    /// answer lattice at evaluation time. Dense tables are returned
-    /// unchanged — they are exact by construction and bounded by the
-    /// dense fact limit, so there is nothing to control.
-    pub fn thin_to(self, budget: usize) -> Result<AnswerTable, CoreError> {
-        match self {
-            AnswerTable::Dense { .. } => Ok(self),
-            AnswerTable::Sparse { n, pc, entries } => {
-                let entries = crowdfusion_jointdist::thin_support(&entries, budget).ok_or(
-                    CoreError::Joint(crowdfusion_jointdist::JointError::EmptySupport),
-                )?;
-                Ok(AnswerTable::Sparse { n, pc, entries })
-            }
-        }
-    }
-
     /// Number of facts the table covers.
     pub fn num_facts(&self) -> usize {
         match *self {
@@ -213,8 +164,7 @@ impl AnswerTable {
     /// entry `a` is the probability of the answer pattern whose bit `j`
     /// is the judgment of the `j`-th smallest member of `tasks`: the
     /// butterfly body on the table's own entries, serially. Exact for
-    /// both backends (up to the sparse table's own construction error);
-    /// `|tasks|` is bounded by [`MAX_DENSE_FACTS`].
+    /// both backends; `|tasks|` is bounded by [`MAX_DENSE_FACTS`].
     pub fn distribution(&self, tasks: VarSet) -> Result<Vec<f64>, CoreError> {
         let serial = &Pool::serial();
         match self {
@@ -765,32 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn answer_table_sampled_converges() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let d = paper_running_example();
-        let mut rng = StdRng::seed_from_u64(9);
-        let sampled = AnswerTable::sampled(&d, 0.8, 150_000, &mut rng).unwrap();
-        let exact = AnswerTable::sparse(&d, 0.8).unwrap();
-        for bits in 1u64..16 {
-            let tasks = VarSet(bits);
-            let a = sampled.distribution(tasks).unwrap();
-            let b = exact.distribution(tasks).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 0.01, "sampled vs exact at {tasks}");
-            }
-        }
-        assert!(matches!(
-            AnswerTable::sampled(&d, 0.8, 0, &mut rng),
-            Err(CoreError::Joint(_))
-        ));
-        assert!(matches!(
-            AnswerTable::sampled(&d, 0.2, 100, &mut rng),
-            Err(CoreError::InvalidAccuracy(_))
-        ));
-    }
-
-    #[test]
     fn answer_table_validation() {
         let d = paper_running_example();
         assert!(matches!(
@@ -864,34 +788,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn thin_to_preserves_mass_and_agrees_within_budget() {
-        let d = paper_running_example();
-        let sparse = AnswerTable::sparse(&d, 0.8).unwrap();
-        let support = sparse.len();
-        // Within budget: bit-identical, distributions agree exactly.
-        let same = sparse.clone().thin_to(support).unwrap();
-        assert_eq!(same, sparse);
-        let full = VarSet::all(4);
-        let a = sparse.distribution(full).unwrap();
-        let b = same.distribution(full).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < crowdfusion_jointdist::PROB_EPSILON);
-        }
-        // Thinned: support shrinks to the budget, total mass is pinned.
-        let thin = sparse.clone().thin_to(support / 2).unwrap();
-        assert_eq!(thin.len(), support / 2);
-        let mass: f64 = thin.distribution(full).unwrap().iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
-        // Deterministic: same input, same thinned table.
-        assert_eq!(thin, sparse.clone().thin_to(support / 2).unwrap());
-        // Zero budget is rejected; dense tables pass through unchanged.
-        assert!(sparse.thin_to(0).is_err());
-        let dense = dense_table(&d, 0.8);
-        let same_dense = dense.clone().thin_to(1).unwrap();
-        assert_eq!(same_dense, dense);
     }
 
     #[test]

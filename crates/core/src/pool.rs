@@ -78,7 +78,7 @@ pub fn threads_from_env() -> Option<usize> {
 /// Parses one [`THREADS_ENV`]-style value. Surrounding whitespace is
 /// ignored (`" 4 "` is 4); anything that does not parse to a positive
 /// integer — `0`, the empty string, whitespace, non-numeric text — goes
-/// through the same [`clamp_threads`] path as [`Pool::new`]: clamped to 1
+/// through the same `clamp_threads` path as [`Pool::new`]: clamped to 1
 /// with one warning on stderr.
 pub fn threads_from_value(raw: &str) -> usize {
     clamp_threads(

@@ -69,7 +69,9 @@ pub fn independent_prior(marginals: &[f64]) -> Result<JointDist, CoreError> {
 /// ([`FactorGraphBuilder::build_sparse`], [`adaptive_sparse_draws`] draws
 /// from a fixed seed — hardness-scaled between [`SPARSE_PRIOR_MIN_DRAWS`]
 /// and [`SPARSE_PRIOR_DRAWS`]), so large entities get a sparse-support
-/// prior instead of a hard `TooManyVariables` failure.
+/// prior instead of a hard `TooManyVariables` failure. The sampler merges
+/// repeated draws, so a sparse prior's support never exceeds its draw
+/// count.
 pub fn grouped_prior(
     marginals: &[f64],
     groups: &[Vec<usize>],
@@ -104,16 +106,7 @@ pub fn grouped_prior(
     } else {
         let draws = adaptive_sparse_draws(marginals, groups);
         let mut rng = StdRng::seed_from_u64(SPARSE_PRIOR_SEED ^ n as u64);
-        let prior = builder.build_sparse(draws, &mut rng)?;
-        // Growth control: the sampler dedups its draws, so today the
-        // support cannot exceed the draw budget — but richer generators
-        // (merged priors, future samplers) can. The within-budget guard
-        // skips `thin_to`'s defensive clone on the common path.
-        if prior.support_size() <= draws {
-            Ok(prior)
-        } else {
-            Ok(prior.thin_to(draws)?)
-        }
+        Ok(builder.build_sparse(draws, &mut rng)?)
     }
 }
 
@@ -227,30 +220,28 @@ mod tests {
         // Deterministic: same inputs, same prior, byte for byte.
         let again = default_grouped_prior(&marginals, &groups).unwrap();
         assert_eq!(p, again);
-    }
-
-    #[test]
-    fn sparse_prior_growth_control_thins_to_the_draw_budget() {
-        // The routed thinning is the identity while the sampler stays
-        // within budget (pinned bit-for-bit above in
-        // `large_entities_get_a_sparse_prior`); this exercises the
-        // control itself on an overshooting support.
-        // Concentrated marginals: the support has a heavy head and a long
-        // low-mass tail — the shape growth control exists for.
-        let n = 32usize;
-        let marginals: Vec<f64> = (0..n)
-            .map(|i| if i % 2 == 0 { 0.95 } else { 0.05 })
-            .collect();
-        let prior = default_grouped_prior(&marginals, &[]).unwrap();
-        assert!(prior.support_size() <= SPARSE_PRIOR_DRAWS);
-        let over = prior.support_size() / 2;
-        let thinned = prior.thin_to(over).unwrap();
-        assert_eq!(thinned.support_size(), over);
-        assert!((thinned.total_mass() - 1.0).abs() < 1e-9);
-        // Trimming the tail moves marginals by less than the sampler's
-        // own Monte-Carlo noise floor.
-        for (a, b) in prior.marginals().iter().zip(thinned.marginals()) {
-            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        // Every sparse prior stays within its own adaptive draw count, not
+        // only the cap: flat, concentrated and grouped entities alike.
+        for n in 27..=40usize {
+            let flat = vec![0.5; n];
+            let concentrated: Vec<f64> = (0..n)
+                .map(|i| if i % 2 == 0 { 0.95 } else { 0.05 })
+                .collect();
+            let mid = vec![0.3; n];
+            let groups: Vec<Vec<usize>> = (0..n)
+                .collect::<Vec<_>>()
+                .chunks(8)
+                .map(<[usize]>::to_vec)
+                .collect();
+            for (marginals, groups) in [(&flat, vec![]), (&concentrated, vec![]), (&mid, groups)] {
+                let p = default_grouped_prior(marginals, &groups).unwrap();
+                let draws = adaptive_sparse_draws(marginals, &groups);
+                assert!(
+                    p.support_size() <= draws,
+                    "n = {n}: {} > {draws}",
+                    p.support_size()
+                );
+            }
         }
     }
 

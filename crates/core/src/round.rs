@@ -93,13 +93,13 @@ impl EntityCase {
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), CoreError> {
         let n = self.num_facts();
-        if self.prompts.len() != n || self.classes.len() != n {
-            return Err(CoreError::AnswerLengthMismatch {
-                tasks: n,
-                answers: self.prompts.len().min(self.classes.len()),
-            });
+        match [self.prompts.len(), self.classes.len()]
+            .into_iter()
+            .find(|&len| len != n)
+        {
+            Some(answers) => Err(CoreError::AnswerLengthMismatch { tasks: n, answers }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -297,6 +297,16 @@ mod tests {
         let mut case = example_case();
         case.prompts.pop();
         assert!(case.validate().is_err());
+        // The error names the length of the list that does not fit.
+        let mut long_classes = example_case();
+        long_classes.classes.push(TaskClass::Clean);
+        assert_eq!(
+            long_classes.validate(),
+            Err(CoreError::AnswerLengthMismatch {
+                tasks: 4,
+                answers: 5
+            })
+        );
         let config = RoundConfig::new(2, 4, 0.8).unwrap();
         let mut p = platform(0.8, 0);
         let mut rng = StdRng::seed_from_u64(0);

@@ -12,13 +12,11 @@ pub mod engine;
 mod greedy;
 mod opt;
 mod random;
-mod sampled;
 
 pub use engine::ScatterCache;
 pub use greedy::{GreedySelector, PruneBound};
 pub use opt::OptSelector;
 pub use random::RandomSelector;
-pub use sampled::{sampled_answer_entropy, SampledGreedySelector};
 
 use crate::answers::AnswerEvaluator;
 use crate::error::CoreError;

@@ -94,12 +94,15 @@ impl EntitySpec {
     /// correlation groups that name each fact at most once.
     pub fn validate(&self) -> Result<(), CoreError> {
         let n = self.marginals.len();
-        let ok = |len: usize| len == n || len == 0;
-        if self.gold.len() != n || !ok(self.prompts.len()) || !ok(self.classes.len()) {
-            return Err(CoreError::AnswerLengthMismatch {
-                tasks: n,
-                answers: self.gold.len().min(self.prompts.len()),
-            });
+        // Empty prompts or classes mean defaults, which always fit.
+        let or_default = |len: usize| if len == 0 { n } else { len };
+        let lens = [
+            self.gold.len(),
+            or_default(self.prompts.len()),
+            or_default(self.classes.len()),
+        ];
+        if let Some(answers) = lens.into_iter().find(|&len| len != n) {
+            return Err(CoreError::AnswerLengthMismatch { tasks: n, answers });
         }
         check_groups(&self.groups, n)
     }
@@ -755,9 +758,26 @@ mod tests {
 
     #[test]
     fn spec_validation_and_defaults() {
+        // The error names the length of the first list that does not fit
+        // (gold, then prompts, then classes), with or without prompts.
         let mut bad = example_spec();
         bad.gold.pop();
-        assert!(bad.validate().is_err());
+        assert_eq!(
+            bad.validate(),
+            Err(CoreError::AnswerLengthMismatch {
+                tasks: 4,
+                answers: 3
+            })
+        );
+        let mut bad = example_spec();
+        bad.classes = vec![TaskClass::Clean; 2];
+        let short_classes = Err(CoreError::AnswerLengthMismatch {
+            tasks: 4,
+            answers: 2,
+        });
+        assert_eq!(bad.validate(), short_classes);
+        bad.prompts = (0..4).map(|i| format!("fact {i}?")).collect();
+        assert_eq!(bad.validate(), short_classes);
         let mut bad = example_spec();
         bad.groups = vec![vec![0, 9]];
         assert_eq!(

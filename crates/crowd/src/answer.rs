@@ -109,50 +109,6 @@ impl AnswerModel for ClassAccuracy {
     }
 }
 
-/// Every worker answers with their individual skill; task class scales the
-/// skill's distance from chance (a confusing task halves the margin, etc.).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SkillAccuracy {
-    /// Multiplier on the worker's margin above 0.5 for each confusion class
-    /// (clean tasks use 1.0). Negative margins model systematically wrong
-    /// judgments.
-    pub wrong_order_factor: f64,
-    /// Margin multiplier for additional-info statements.
-    pub additional_info_factor: f64,
-    /// Margin multiplier for misspellings.
-    pub misspelling_factor: f64,
-    /// Fallback `Pc` reported to planners.
-    pub nominal: f64,
-}
-
-impl Default for SkillAccuracy {
-    fn default() -> SkillAccuracy {
-        SkillAccuracy {
-            wrong_order_factor: 0.2,
-            additional_info_factor: 0.25,
-            misspelling_factor: -0.15,
-            nominal: 0.8,
-        }
-    }
-}
-
-impl AnswerModel for SkillAccuracy {
-    fn prob_correct(&self, worker: &Worker, task: &Task) -> f64 {
-        let margin = worker.skill - 0.5;
-        let factor = match task.class {
-            TaskClass::Clean => 1.0,
-            TaskClass::WrongOrder => self.wrong_order_factor,
-            TaskClass::AdditionalInfo => self.additional_info_factor,
-            TaskClass::Misspelling => self.misspelling_factor,
-        };
-        (0.5 + margin * factor).clamp(0.01, 1.0)
-    }
-
-    fn nominal_accuracy(&self) -> f64 {
-        self.nominal
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +146,5 @@ mod tests {
         assert!(m.prob_correct(&w, &miss) < 0.5);
         assert!(m.prob_correct(&w, &info) < 0.6);
         assert_eq!(m.nominal_accuracy(), 0.86);
-    }
-
-    #[test]
-    fn skill_accuracy_scales_margin() {
-        let m = SkillAccuracy::default();
-        let sharp = worker(0.9);
-        let clean = Task::new(0, "q");
-        let miss = Task::new(1, "q").with_class(TaskClass::Misspelling);
-        assert!((m.prob_correct(&sharp, &clean) - 0.9).abs() < 1e-12);
-        // Negative factor => below-chance answers on misspellings.
-        assert!(m.prob_correct(&sharp, &miss) < 0.5);
-        // A chance-level worker stays at chance on every class.
-        let coin = worker(0.5);
-        assert!((m.prob_correct(&coin, &miss) - 0.5).abs() < 1e-12);
     }
 }

@@ -16,8 +16,6 @@ pub enum CrowdError {
         /// Number of ground-truth labels supplied.
         truths: usize,
     },
-    /// A replication factor of zero was requested.
-    ZeroReplication,
     /// A batched group referenced an answer stream that was never seeded.
     UnknownStream {
         /// Stream index requested by the batch group.
@@ -37,7 +35,6 @@ impl fmt::Display for CrowdError {
             CrowdError::LengthMismatch { tasks, truths } => {
                 write!(f, "{tasks} tasks but {truths} ground-truth labels")
             }
-            CrowdError::ZeroReplication => write!(f, "replication factor must be at least 1"),
             CrowdError::UnknownStream { stream, streams } => {
                 write!(
                     f,

@@ -13,15 +13,15 @@
 //!   classes carry the paper's Section V-D error taxonomy (wrong order,
 //!   additional information, misspelling), which degrade crowd accuracy;
 //! * [`Worker`] / [`WorkerPool`] — individual workers with their own skill;
-//! * [`AnswerModel`] implementations — [`UniformAccuracy`] (Definition 2),
-//!   [`ClassAccuracy`] (per-error-class correct rates measured in Section
-//!   V-D, e.g. misspellings answered correctly less than half the time) and
-//!   [`SkillAccuracy`] (per-worker skill);
+//! * [`AnswerModel`] implementations — [`UniformAccuracy`] (Definition 2)
+//!   and [`ClassAccuracy`] (per-error-class correct rates measured in
+//!   Section V-D, e.g. misspellings answered correctly less than half the
+//!   time);
 //! * [`CrowdPlatform`] — the gMission stand-in: publishes task batches,
-//!   collects one answer per task (optionally majority-of-`j`), keeps a cost
-//!   ledger; [`RoundBatch`] + [`AnswerStreams`] batch every entity's tasks
-//!   of one global round into a single `publish_batch` round trip with
-//!   per-entity deterministic answer streams;
+//!   collects one answer per task, keeps a cost ledger; [`RoundBatch`] +
+//!   [`AnswerStreams`] batch every entity's tasks of one global round into
+//!   a single `publish_batch` round trip with per-entity deterministic
+//!   answer streams;
 //! * [`estimate_accuracy`] — the paper's "estimate the reliability by a
 //!   pre-test with groundtruth" (Section V-C-3).
 
@@ -29,7 +29,6 @@
 #![warn(clippy::all)]
 
 pub mod accuracy;
-pub mod aggregation;
 pub mod answer;
 pub mod error;
 pub mod platform;
@@ -38,8 +37,7 @@ pub mod task;
 pub mod worker;
 
 pub use accuracy::{estimate_accuracy, AccuracyEstimate};
-pub use aggregation::{em_aggregate, majority_aggregate, AggregatedAnswer, EmEstimate};
-pub use answer::{Answer, AnswerModel, ClassAccuracy, SkillAccuracy, UniformAccuracy};
+pub use answer::{Answer, AnswerModel, ClassAccuracy, UniformAccuracy};
 pub use error::CrowdError;
 pub use platform::{AnswerStreams, CostLedger, CrowdPlatform};
 pub use replay::{dedup_answers, AnswerReplay};

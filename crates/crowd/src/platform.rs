@@ -110,11 +110,10 @@ impl<M: AnswerModel> CrowdPlatform<M> {
     /// Forks a platform with the same worker pool and answer model but an
     /// independent RNG stream seeded from `seed` and a zeroed ledger.
     ///
-    /// This is the sharded experiment runner's primitive: each entity
-    /// worker answers from its own fork, so the crowd's randomness is a
-    /// pure function of the fork seed rather than of scheduling order —
-    /// results are identical for any thread count. Fold the forks' spend
-    /// back with [`CrowdPlatform::merge_ledger`].
+    /// A fork is the per-entity reference protocol: its answers are a pure
+    /// function of the fork seed. [`CrowdPlatform::publish_batch`] and
+    /// [`crate::AnswerReplay`] draw from streams seeded the same way, and
+    /// their tests compare them against a fork bit for bit.
     pub fn fork_seeded(&self, seed: u64) -> CrowdPlatform<M>
     where
         M: Clone,
@@ -125,12 +124,6 @@ impl<M: AnswerModel> CrowdPlatform<M> {
             rng: StdRng::seed_from_u64(seed),
             ledger: CostLedger::default(),
         }
-    }
-
-    /// Adds a forked platform's spend to this ledger.
-    pub fn merge_ledger(&mut self, other: CostLedger) {
-        self.ledger.judgments += other.judgments;
-        self.ledger.batches += other.batches;
     }
 
     /// Publishes a batch of tasks whose hidden ground truths are `truths`,
@@ -208,59 +201,9 @@ impl<M: AnswerModel> CrowdPlatform<M> {
         Ok(demuxed)
     }
 
-    /// Publishes each task to `replication` distinct draws of workers and
-    /// aggregates per-task majority votes (ties broken toward `true`).
-    /// Costs `replication` judgments per task.
-    ///
-    /// This is the classical redundancy-based quality-control extension; the
-    /// paper uses `replication = 1` with the aggregate modelled inside `Pc`.
-    pub fn publish_replicated(
-        &mut self,
-        tasks: &[Task],
-        truths: &[bool],
-        replication: usize,
-    ) -> Result<Vec<Answer>, CrowdError> {
-        if replication == 0 {
-            return Err(CrowdError::ZeroReplication);
-        }
-        if tasks.len() != truths.len() {
-            return Err(CrowdError::LengthMismatch {
-                tasks: tasks.len(),
-                truths: truths.len(),
-            });
-        }
-        let mut aggregated = Vec::with_capacity(tasks.len());
-        for (task, &truth) in tasks.iter().zip(truths) {
-            let mut yes = 0usize;
-            let mut last_worker = None;
-            for _ in 0..replication {
-                let worker = self.pool.pick(&mut self.rng)?;
-                let p = self.model.prob_correct(&worker, task);
-                let correct = self.rng.gen::<f64>() < p;
-                if correct == truth {
-                    yes += 1;
-                }
-                last_worker = Some(worker.id);
-                self.ledger.judgments += 1;
-            }
-            aggregated.push(Answer {
-                task: task.id,
-                worker: last_worker.expect("replication >= 1"),
-                value: 2 * yes >= replication,
-            });
-        }
-        self.ledger.batches += 1;
-        Ok(aggregated)
-    }
-
     /// The cost ledger so far.
     pub fn ledger(&self) -> CostLedger {
         self.ledger
-    }
-
-    /// Resets the ledger (e.g. between experiment configurations).
-    pub fn reset_ledger(&mut self) {
-        self.ledger = CostLedger::default();
     }
 
     /// The worker pool.
@@ -331,39 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn replication_improves_effective_accuracy() {
-        let (tasks, truths) = batch(4_000);
-        let mut single = platform(0.7, 7);
-        let mut triple = platform(0.7, 7);
-        let rate = |answers: Vec<Answer>| {
-            answers
-                .iter()
-                .zip(&truths)
-                .filter(|(a, &t)| a.value == t)
-                .count() as f64
-                / truths.len() as f64
-        };
-        let r1 = rate(single.publish(&tasks, &truths).unwrap());
-        let r3 = rate(triple.publish_replicated(&tasks, &truths, 3).unwrap());
-        assert!(r3 > r1, "majority-of-3 ({r3}) should beat single ({r1})");
-        // Theoretical majority-of-3 accuracy: p^3 + 3 p^2 (1-p) = 0.784.
-        assert!((r3 - 0.784).abs() < 0.02);
-        assert_eq!(triple.ledger().judgments, 12_000);
-    }
-
-    #[test]
-    fn replication_zero_rejected() {
-        let mut p = platform(0.8, 0);
-        let (tasks, truths) = batch(2);
-        assert_eq!(
-            p.publish_replicated(&tasks, &truths, 0).unwrap_err(),
-            CrowdError::ZeroReplication
-        );
-    }
-
-    #[test]
-    fn forks_are_independent_and_merge_ledgers() {
-        let mut master = platform(0.75, 1);
+    fn forks_are_independent_and_keep_their_own_ledger() {
+        let master = platform(0.75, 1);
         let (tasks, truths) = batch(16);
         // Two forks with the same seed produce identical answer streams;
         // a different seed diverges.
@@ -372,14 +284,18 @@ mod tests {
         assert_eq!(a, b);
         let c = master.fork_seeded(8).publish(&tasks, &truths).unwrap();
         assert_ne!(a, c);
-        // Forks start with a clean ledger; merging folds spend back.
+        // A fork starts with a clean ledger and charges only its own.
         let mut fork = master.fork_seeded(9);
+        assert_eq!(fork.ledger(), CostLedger::default());
         fork.publish(&tasks, &truths).unwrap();
-        assert_eq!(master.ledger().judgments, 0);
-        master.merge_ledger(fork.ledger());
-        master.merge_ledger(fork.ledger());
-        assert_eq!(master.ledger().judgments, 32);
-        assert_eq!(master.ledger().batches, 2);
+        assert_eq!(
+            fork.ledger(),
+            CostLedger {
+                judgments: 16,
+                batches: 1
+            }
+        );
+        assert_eq!(master.ledger(), CostLedger::default());
     }
 
     #[test]

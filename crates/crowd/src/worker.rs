@@ -42,32 +42,6 @@ impl WorkerPool {
         })
     }
 
-    /// A heterogeneous pool whose skills are drawn uniformly from
-    /// `[lo, hi] ⊆ [0.5, 1]`. The pool mean approximates the `Pc` a pre-test
-    /// would estimate (the paper measured ≈ 0.86 on gMission).
-    pub fn heterogeneous<R: Rng + ?Sized>(
-        count: usize,
-        lo: f64,
-        hi: f64,
-        rng: &mut R,
-    ) -> Result<WorkerPool, CrowdError> {
-        if !(0.5..=1.0).contains(&lo) || !(0.5..=1.0).contains(&hi) || lo > hi {
-            return Err(CrowdError::AccuracyOutOfRange(if lo > hi {
-                lo
-            } else {
-                hi
-            }));
-        }
-        Ok(WorkerPool {
-            workers: (0..count)
-                .map(|i| Worker {
-                    id: WorkerId(i as u32),
-                    skill: if lo == hi { lo } else { rng.gen_range(lo..=hi) },
-                })
-                .collect(),
-        })
-    }
-
     /// The workers in id order.
     pub fn workers(&self) -> &[Worker] {
         &self.workers
@@ -81,14 +55,6 @@ impl WorkerPool {
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.workers.is_empty()
-    }
-
-    /// Mean worker skill.
-    pub fn mean_skill(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        self.workers.iter().map(|w| w.skill).sum::<f64>() / self.workers.len() as f64
     }
 
     /// Picks a uniformly random worker (anonymous assignment, as on
@@ -112,7 +78,6 @@ mod tests {
         let p = WorkerPool::uniform(5, 0.8).unwrap();
         assert_eq!(p.len(), 5);
         assert!(p.workers().iter().all(|w| w.skill == 0.8));
-        assert!((p.mean_skill() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -125,24 +90,6 @@ mod tests {
             WorkerPool::uniform(3, 1.1),
             Err(CrowdError::AccuracyOutOfRange(_))
         ));
-    }
-
-    #[test]
-    fn heterogeneous_pool_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = WorkerPool::heterogeneous(100, 0.6, 0.95, &mut rng).unwrap();
-        assert!(p.workers().iter().all(|w| (0.6..=0.95).contains(&w.skill)));
-        let mean = p.mean_skill();
-        assert!(mean > 0.7 && mean < 0.85);
-    }
-
-    #[test]
-    fn heterogeneous_validates_range() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(WorkerPool::heterogeneous(3, 0.9, 0.6, &mut rng).is_err());
-        assert!(WorkerPool::heterogeneous(3, 0.4, 0.9, &mut rng).is_err());
-        // Degenerate equal bounds are fine.
-        assert!(WorkerPool::heterogeneous(3, 0.7, 0.7, &mut rng).is_ok());
     }
 
     #[test]

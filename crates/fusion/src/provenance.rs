@@ -1,7 +1,7 @@
 //! Per-statement provenance: which sources won each fact and why.
 //!
 //! Every fusion run can emit a [`ProvenanceLedger`] next to its
-//! [`FusionResult`](crate::FusionResult): the method's final per-source
+//! [`FusionResult`]: the method's final per-source
 //! weights (CRH weights, TruthFinder trust, ACCU accuracy, resolver
 //! preference weights — uniform for weightless methods), the iteration at
 //! which the method converged where applicable, and one

@@ -201,29 +201,6 @@ impl JointDist {
         JointDist::from_sorted_weights(vars.len(), merged.into_iter().collect())
     }
 
-    /// Thins the support to at most `budget` entries — **growth control**
-    /// for sparse-sampled distributions whose draw support overshoots its
-    /// budget. The `budget` highest-probability assignments are kept
-    /// (ties broken toward the smaller assignment, so the result is a
-    /// pure function of the input) and the trimmed mass is reinstated by
-    /// renormalisation over the kept support, so the total mass is
-    /// preserved exactly. A support already within budget is returned
-    /// unchanged, bit for bit. One selection algorithm —
-    /// [`thin_support`] — backs this and the sparse answer table's
-    /// thinning.
-    ///
-    /// The relative error introduced on any kept probability is bounded
-    /// by the trimmed mass fraction; thinning the low-probability tail of
-    /// an importance-sampled prior therefore perturbs marginals far less
-    /// than the sampler's own `O(1/√draws)` noise.
-    pub fn thin_to(&self, budget: usize) -> Result<JointDist, JointError> {
-        if self.entries.len() <= budget {
-            return Ok(self.clone());
-        }
-        let entries = thin_support(&self.entries, budget).ok_or(JointError::EmptySupport)?;
-        Ok(JointDist { n: self.n, entries })
-    }
-
     /// Shannon entropy `H` of the joint distribution, in bits.
     ///
     /// The paper's utility (Definition 1) is `Q(F) = −H(F)`; see
@@ -427,41 +404,6 @@ fn normalise(entries: &mut Vec<(Assignment, f64)>, total: f64) -> Result<(), Joi
         *p /= total;
     }
     Ok(())
-}
-
-/// Keeps the `budget` highest-probability entries of a sorted sparse
-/// support, rescaling the kept entries so the input's **total mass is
-/// preserved exactly** (the trimmed mass is reinstated by
-/// renormalisation). Ties break toward the smaller key and the kept
-/// entries come back in their original (key-sorted) order, so the result
-/// is a pure function of the input. `None` when `budget == 0`; an input
-/// already within budget is returned unchanged.
-///
-/// This is *the* support-thinning algorithm: [`JointDist::thin_to`] and
-/// the sparse answer table's `AnswerTable::thin_to` both delegate here,
-/// so their documented agreement cannot drift.
-pub fn thin_support<K: Copy + Ord>(entries: &[(K, f64)], budget: usize) -> Option<Vec<(K, f64)>> {
-    if budget == 0 {
-        return None;
-    }
-    if entries.len() <= budget {
-        return Some(entries.to_vec());
-    }
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&i, &j| {
-        let (ki, pi) = entries[i];
-        let (kj, pj) = entries[j];
-        pj.partial_cmp(&pi)
-            .expect("support probabilities are finite")
-            .then(ki.cmp(&kj))
-    });
-    order.truncate(budget);
-    order.sort_unstable(); // back to key-sorted entry order
-    let kept: Vec<(K, f64)> = order.iter().map(|&i| entries[i]).collect();
-    let before: f64 = entries.iter().map(|&(_, p)| p).sum();
-    let after: f64 = kept.iter().map(|&(_, p)| p).sum();
-    let scale = before / after;
-    Some(kept.into_iter().map(|(k, p)| (k, p * scale)).collect())
 }
 
 #[cfg(test)]
@@ -743,61 +685,6 @@ mod tests {
     fn prob_outside_support_is_zero() {
         let d = JointDist::certain(3, Assignment(0b001)).unwrap();
         assert_eq!(d.prob(Assignment(0b010)), 0.0);
-    }
-
-    #[test]
-    fn thin_to_keeps_top_entries_and_total_mass() {
-        let d = JointDist::from_weights(
-            3,
-            [
-                (Assignment(0b000), 0.40),
-                (Assignment(0b001), 0.25),
-                (Assignment(0b010), 0.20),
-                (Assignment(0b011), 0.10),
-                (Assignment(0b100), 0.05),
-            ],
-        )
-        .unwrap();
-        let thin = d.thin_to(3).unwrap();
-        assert_eq!(thin.support_size(), 3);
-        // Total mass pinned to exactly 1 (trimmed mass reinstated).
-        assert!((thin.total_mass() - 1.0).abs() < crate::PROB_EPSILON);
-        // The kept support is the top-3 by probability, renormalised.
-        let scale = 1.0 / 0.85;
-        assert!(close(thin.prob(Assignment(0b000)), 0.40 * scale));
-        assert!(close(thin.prob(Assignment(0b001)), 0.25 * scale));
-        assert!(close(thin.prob(Assignment(0b010)), 0.20 * scale));
-        assert_eq!(thin.prob(Assignment(0b011)), 0.0);
-        // Entries stay assignment-sorted (the representation invariant).
-        let entries = thin.entries();
-        assert!(entries.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
-    }
-
-    #[test]
-    fn thin_to_within_budget_is_the_identity_and_zero_budget_errors() {
-        let d = running_example();
-        let same = d.thin_to(d.support_size()).unwrap();
-        assert_eq!(same, d);
-        let bigger = d.thin_to(1 << 20).unwrap();
-        assert_eq!(bigger, d);
-        // Within-budget identity means marginals agree to PROB_EPSILON
-        // trivially; pin it anyway as the contract the priors rely on.
-        for (a, b) in d.marginals().iter().zip(same.marginals()) {
-            assert!((a - b).abs() < crate::PROB_EPSILON);
-        }
-        assert!(matches!(d.thin_to(0), Err(JointError::EmptySupport)));
-    }
-
-    #[test]
-    fn thin_to_breaks_probability_ties_deterministically() {
-        let u = JointDist::uniform(3).unwrap();
-        let a = u.thin_to(5).unwrap();
-        let b = u.thin_to(5).unwrap();
-        assert_eq!(a, b);
-        // All probabilities equal: the smaller assignments win.
-        let kept: Vec<u64> = a.entries().iter().map(|&(a, _)| a.0).collect();
-        assert_eq!(kept, vec![0, 1, 2, 3, 4]);
-        assert!((a.total_mass() - 1.0).abs() < crate::PROB_EPSILON);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   Equation 3 in the paper is a reweight followed by normalisation),
 //! * Shannon entropy in bits ([`entropy`]), mutual information, KL divergence,
 //! * a soft [`factor::FactorGraphBuilder`] for building correlated priors from
-//!   per-fact marginals plus exclusivity / equivalence / implication factors,
-//! * exact sampling of ground-truth assignments.
+//!   per-fact marginals plus exclusivity / equivalence / implication factors.
 //!
 //! All entropies are measured in **bits** (log base 2); the paper's running
 //! example (`H({f1}) = 1` for `P(f1) = 0.5`) fixes this convention.
@@ -31,9 +30,8 @@ pub mod error;
 pub mod factor;
 pub mod mask;
 pub mod presets;
-pub mod sample;
 
-pub use dist::{thin_support, JointDist};
+pub use dist::JointDist;
 pub use entropy::{binary_entropy, entropy_of_probs, entropy_of_weights};
 pub use error::JointError;
 pub use factor::{Factor, FactorGraphBuilder};

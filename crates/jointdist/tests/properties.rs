@@ -182,13 +182,4 @@ proptest! {
             prop_assert_eq!(d.num_vars(), n);
         }
     }
-
-    #[test]
-    fn sampling_stays_in_support(d in arb_dist(), seed in any::<u64>()) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        for a in d.sample_many(&mut rng, 64) {
-            prop_assert!(d.prob(a) > 0.0, "sampled assignment outside support");
-        }
-    }
 }

@@ -30,8 +30,8 @@
 //! connections unflushed).
 //!
 //! The optional read deadline is enforced by the reactors' timer sweep
-//! off the service [`Clock`] — not `SO_RCVTIMEO` — closing connections
-//! that go silent mid-session. One connection's garbage never disturbs
+//! off the service [`Clock`](crate::Clock) — not `SO_RCVTIMEO` — closing
+//! connections that go silent mid-session. One connection's garbage never disturbs
 //! another's session state.
 
 use crate::fault::{FaultAction, FaultPoint};

@@ -2,16 +2,15 @@
 //!
 //! The paper's efficiency experiments single out "books with facts more
 //! than 20" — exactly where dense `2^n` answer tables stop being feasible.
-//! This example runs the full refinement loop on a 32-statement book using
-//! the two scalability extensions:
-//!
-//! * a sparse Monte-Carlo prior (`JointDist::independent_sparse`), and
-//! * the sampled greedy selector (`SampledGreedySelector`), whose `H(T)`
-//!   estimates need no dense tables.
+//! This example refines a 32-statement book on the path `refine` runs for
+//! it: the book's fusion marginals and correlation groups become a sparse
+//! importance-sampled prior (`pipeline::entity_case_for_book`), and the
+//! exact greedy selector scores candidates on that sparse support, so no
+//! dense table is ever built.
 //!
 //! Run with: `cargo run --release --example large_books`
 
-use crowdfusion::pipeline::gold_assignment;
+use crowdfusion::pipeline::entity_case_for_book;
 use crowdfusion::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,31 +31,16 @@ fn main() {
         (1u128 << n) * 8 / (1 << 30)
     );
 
-    // Machine prior: modified CRH marginals, lifted into a sparse
-    // Monte-Carlo joint (the dense factor-graph path rejects n > 26).
+    // Machine prior: modified CRH marginals plus the book's correlation
+    // groups, lifted into a sparse joint (the dense factor-graph path
+    // stops at 26 facts).
     let fusion = ModifiedCrh::default().fuse(&books.dataset).unwrap();
-    let marginals = fusion.entity_marginals(&books.dataset, entity);
-    let mut rng = StdRng::seed_from_u64(11);
-    let prior = JointDist::independent_sparse(&marginals, 65_536, &mut rng).unwrap();
+    let case = entity_case_for_book(&books, &fusion, entity).unwrap();
     println!(
         "sparse prior: support {} of 2^{n} assignments, H = {:.2} bits",
-        prior.support_size(),
-        prior.entropy()
+        case.prior.support_size(),
+        case.prior.entropy()
     );
-
-    let gold = gold_assignment(&books.gold_for(entity));
-    let case = EntityCase {
-        name: books.dataset.entities()[0].name.clone(),
-        prior,
-        gold,
-        prompts: books
-            .dataset
-            .statements_of(entity)
-            .iter()
-            .map(|s| format!("Is \"{}\" correct?", books.dataset.statement_text(*s)))
-            .collect(),
-        classes: books.classes_for(entity),
-    };
 
     let pc = 0.8;
     let seeds = 5u64;
@@ -66,10 +50,7 @@ fn main() {
         config.budget
     );
     for (label, selector) in [
-        (
-            "sampled greedy",
-            &SampledGreedySelector::new(2_000, 3) as &dyn TaskSelector,
-        ),
+        ("greedy", &GreedySelector::fast() as &dyn TaskSelector),
         ("random", &RandomSelector),
     ] {
         let mut utility = 0.0;
@@ -94,7 +75,7 @@ fn main() {
             )
             .unwrap();
             let mut counts = ConfusionCounts::default();
-            counts.add_marginals(&trace.posterior.marginals(), gold);
+            counts.add_marginals(&trace.posterior.marginals(), case.gold);
             prior_utility = trace.prior_utility;
             utility += trace.final_utility() / seeds as f64;
             accuracy += counts.accuracy() / seeds as f64;
@@ -105,10 +86,4 @@ fn main() {
              statement accuracy {accuracy:.3}, F1 {f1:.3}"
         );
     }
-    println!("\nThe sampled selector reaches lower residual entropy at equal");
-    println!("budget without ever materialising an exact answer distribution.");
-    println!("(Caveat measured honestly here: with a sparse Monte-Carlo prior");
-    println!("the posterior lives on the sampled support, so entropy-greedy");
-    println!("can leave an unlucky fact mislabelled while random's even");
-    println!("coverage corrects it — the price of approximating 2^n.)");
 }

@@ -9,7 +9,8 @@
 //! re-exports them under stable paths:
 //!
 //! * [`jointdist`] — joint distributions over Bernoulli facts (the paper's
-//!   output sets), entropy, factor-graph priors, sampling;
+//!   output sets), entropy, factor-graph priors (dense or importance-sampled
+//!   sparse);
 //! * [`fusion`] — truth-discovery substrate: claims datasets, majority
 //!   voting, CRH (+ the paper's modified CRH), TruthFinder, ACCU,
 //!   per-attribute conflict resolvers, the strategy registry every
@@ -72,8 +73,7 @@ pub mod prelude {
     };
     pub use crowdfusion_core::round::{EntityCase, EntityTrace, RoundConfig};
     pub use crowdfusion_core::selection::{
-        GreedySelector, OptSelector, PruneBound, RandomSelector, SampledGreedySelector,
-        SelectorKind, TaskSelector,
+        GreedySelector, OptSelector, PruneBound, RandomSelector, SelectorKind, TaskSelector,
     };
     pub use crowdfusion_core::system::{Experiment, ExperimentTrace};
     pub use crowdfusion_core::CoreError;
