@@ -1,7 +1,7 @@
 //! Facade smoke tests: `crowdfusion::cli::run` end to end, plus the
 //! compiled binary's exit-status contract (`main` exits 2 on errors).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn args(raw: &[&str]) -> Vec<String> {
@@ -114,6 +114,103 @@ fn refine_output_ignores_the_thread_setting() {
     assert!(!csvs[0].is_empty());
     assert_eq!(csvs[0], csvs[1], "no --threads vs --threads 1");
     assert_eq!(csvs[0], csvs[2], "no --threads vs --threads 3");
+}
+
+/// Panics with the first line where `fresh` differs from the pinned file
+/// `tests/fixtures/refine/{name}`.
+fn assert_matches_pin(fresh: &str, name: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/refine")
+        .join(name);
+    let pinned = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    if fresh == pinned {
+        return;
+    }
+    let (mut fresh_lines, mut pinned_lines) = (fresh.lines(), pinned.lines());
+    let mut line = 1;
+    loop {
+        let (got, want) = (fresh_lines.next(), pinned_lines.next());
+        if got != want {
+            panic!("{name} differs from its pin at line {line}:\n  pinned: {want:?}\n  fresh:  {got:?}");
+        }
+        if got.is_none() {
+            panic!("{name} differs from its pin in line endings only");
+        }
+        line += 1;
+    }
+}
+
+/// `refine`'s JSON trace and CSV for {greedy, greedy-pre, random} × k
+/// {2, 4} on a 10–16-statement and a 32-statement dataset, pinned byte for
+/// byte under `tests/fixtures/refine/`. No `--threads` is passed, so every
+/// `CROWDFUSION_THREADS` setting must write the same bytes.
+///
+/// A file that moves on purpose is rewritten with the binary, from the
+/// repository root (`SET` is `small` or `n32`, `SEL` one of the three
+/// selectors, `K` 2 or 4):
+///
+/// ```text
+/// crowdfusion generate-books --out small.json --books 8 --min-statements 10 --max-statements 16 --seed 5
+/// crowdfusion generate-books --out n32.json --books 3 --min-statements 32 --max-statements 32 --seed 13
+/// crowdfusion refine --dataset SET.json --selector SEL --k K --budget 12 --seed 3 \
+///     --out tests/fixtures/refine/SET_SEL_kK.json --csv tests/fixtures/refine/SET_SEL_kK.csv
+/// ```
+#[test]
+fn refine_outputs_match_committed_pins() {
+    let datasets = [
+        ("small", ["8", "10", "16", "5"]),
+        ("n32", ["3", "32", "32", "13"]),
+    ];
+    for (set, [books, min, max, seed]) in datasets {
+        let dataset = tmp(&format!("pin-{set}.json"));
+        crowdfusion::cli::run(&args(&[
+            "generate-books",
+            "--out",
+            &dataset,
+            "--books",
+            books,
+            "--min-statements",
+            min,
+            "--max-statements",
+            max,
+            "--seed",
+            seed,
+        ]))
+        .unwrap();
+        for selector in ["greedy", "greedy-pre", "random"] {
+            for k in ["2", "4"] {
+                let name = format!("{set}_{selector}_k{k}");
+                let (json, csv) = (tmp(&format!("{name}.json")), tmp(&format!("{name}.csv")));
+                crowdfusion::cli::run(&args(&[
+                    "refine",
+                    "--dataset",
+                    &dataset,
+                    "--selector",
+                    selector,
+                    "--k",
+                    k,
+                    "--budget",
+                    "12",
+                    "--seed",
+                    "3",
+                    "--out",
+                    &json,
+                    "--csv",
+                    &csv,
+                ]))
+                .unwrap_or_else(|e| panic!("refine {name} failed: {e}"));
+                for (path, ext) in [(&json, "json"), (&csv, "csv")] {
+                    assert_matches_pin(
+                        &std::fs::read_to_string(path).unwrap(),
+                        &format!("{name}.{ext}"),
+                    );
+                    std::fs::remove_file(path).ok();
+                }
+            }
+        }
+        std::fs::remove_file(&dataset).ok();
+    }
 }
 
 #[test]
