@@ -1,6 +1,6 @@
 //! Figure 4: how the Pc setting affects F1-score and utility
 //! (Approx. vs Random for Pc ∈ {0.7, 0.8, 0.9}), plus the large-n
-//! query-mode workload behind the sparse answer-table backend.
+//! query-mode workload past the dense `2^n` limit.
 //!
 //! Expected shape (paper Section V-C-3): higher Pc reaches higher utility
 //! at equal cost; Pc = 0.8 and 0.9 achieve similar F1; underestimating
@@ -10,8 +10,10 @@
 //! 20" regime: correlated-fact books with n = 32–40 statements
 //! (shared-author correlation groups), selected both in query mode
 //! (facts of interest = the gold-true variant group) and through the
-//! direct / sparse-preprocessed greedy paths, with pooled execution
-//! cross-checked to be bit-identical across thread counts.
+//! direct and preprocessed greedy paths (past 26 facts both score the
+//! sparse support through the direct engine; the `pre(sparse)` label
+//! predates that), with pooled execution cross-checked to be
+//! bit-identical across thread counts.
 //!
 //! Run with: `cargo run --release -p crowdfusion-bench --bin fig4 [--quick]`
 //!
@@ -88,11 +90,11 @@ fn large_n_query_mode(quick: bool) {
             GreedySelector::fast()
                 .with_preprocess()
                 .select(prior, pc, k, &mut rng)
-                .expect("sparse preprocessed selection succeeds at large n")
+                .expect("preprocessed selection succeeds at large n")
         });
         assert_eq!(
             direct, pre,
-            "sparse preprocessed selection diverged from the direct engine"
+            "preprocessed selection diverged from the direct engine"
         );
         for threads in [2usize, 4] {
             let pooled = GreedySelector::engine(threads)

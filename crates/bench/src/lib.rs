@@ -109,8 +109,8 @@ pub fn bench_prior(n_facts: usize, seed: u64) -> JointDist {
 /// list, and every format variant of it is equally interesting.
 ///
 /// Beyond `MAX_DENSE_FACTS` statements the returned case carries a
-/// sparse-support prior, exercising the sparse answer-table backend end
-/// to end.
+/// sparse-support prior, which the direct and the preprocessed greedy
+/// both score through the engine's scatter cache.
 pub fn large_book_case(n_statements: usize, seed: u64) -> (EntityCase, VarSet) {
     let books = crowdfusion::datagen::book::generate(BookGenConfig {
         n_books: 1,

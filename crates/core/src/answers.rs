@@ -21,12 +21,11 @@
 //!   analogous to a Walsh–Hadamard transform. Cross-validated against the
 //!   naive evaluator by unit and property tests.
 //!
-//! Each evaluator has one body. It runs over any `(pattern, probability)`
-//! support — a [`JointDist`], a sparse [`AnswerTable`]'s entries, or a
-//! dense table read as a pattern-indexed support — and is sharded on a
-//! [`Pool`]: the naive sum by contiguous answer-pattern ranges, the
-//! butterfly by whole transform blocks per stage (Section III-F notes the
-//! step "can be solved by parallel computing or the MapReduce framework").
+//! Each evaluator has one body. It runs over a [`JointDist`]'s support
+//! and is sharded on a [`Pool`]: the naive sum by contiguous
+//! answer-pattern ranges, the butterfly by whole transform blocks per
+//! stage (Section III-F notes the step "can be solved by parallel
+//! computing or the MapReduce framework").
 //! Every slot sees the same arithmetic in the same order at any thread
 //! count, so results are bit-identical to [`Pool::serial`]'s.
 //!
@@ -52,149 +51,6 @@ pub enum AnswerEvaluator {
     Butterfly,
 }
 
-/// Which representation backs the preprocessed answer table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum TableBackend {
-    /// Dense for `n ≤` [`MAX_DENSE_FACTS`], sparse beyond — the default.
-    #[default]
-    Auto,
-    /// Force the dense `2^n` table (errors beyond the dense limit).
-    Dense,
-    /// Force the sparse support-backed table at any `n`.
-    Sparse,
-}
-
-/// The preprocessed answer joint distribution (the paper's Table IV
-/// artefact) in dense or sparse form.
-///
-/// The dense variant is the paper's literal table: `probs[pattern]` is
-/// `P(Ans = pattern)` with the crowd channel already applied, `2^n`
-/// entries. The sparse variant lifts the dense `2^n` ceiling: it stores
-/// the output distribution's own sorted `(pattern, probability)` support
-/// together with the channel accuracy `pc` to apply at evaluation time
-/// ([`AnswerTable::sparse`]). Because the per-fact binary symmetric
-/// channel commutes with marginalisation, the answer distribution of any
-/// task set `T` is recovered exactly from the sparse form by scattering
-/// the support onto the `2^|T|` lattice and applying the `|T|`-stage
-/// channel butterfly — `O(|O| + |T|·2^|T|)` instead of `O(2^n)`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnswerTable {
-    /// Dense channel-applied probabilities over all `2^n` patterns.
-    Dense {
-        /// Number of facts.
-        n: usize,
-        /// `probs[pattern]` = P(Ans = pattern); length `2^n`.
-        probs: Vec<f64>,
-    },
-    /// Sorted sparse `(pattern, probability)` support plus the channel
-    /// accuracy to apply at evaluation time.
-    Sparse {
-        /// Number of facts.
-        n: usize,
-        /// Per-fact crowd accuracy `Pc`, applied to the support at
-        /// evaluation time.
-        pc: f64,
-        /// Sorted (judgment pattern, probability) pairs.
-        entries: Vec<(u64, f64)>,
-    },
-}
-
-impl AnswerTable {
-    /// The preprocessed table for `backend`. A dense table is
-    /// [`full_answer_distribution`] on `pool` (bit-identical at any
-    /// thread count); a sparse one is [`AnswerTable::sparse`].
-    /// [`TableBackend::Auto`] picks dense up to [`MAX_DENSE_FACTS`] facts
-    /// and sparse beyond — the routing that lifts the dense `2^n` ceiling
-    /// from the preprocessed selection path — while a forced
-    /// [`TableBackend::Dense`] errors beyond the limit.
-    pub fn build(
-        dist: &JointDist,
-        pc: f64,
-        evaluator: AnswerEvaluator,
-        backend: TableBackend,
-        pool: &Pool,
-    ) -> Result<AnswerTable, CoreError> {
-        let dense = match backend {
-            TableBackend::Auto => dist.num_vars() <= MAX_DENSE_FACTS,
-            TableBackend::Dense => true,
-            TableBackend::Sparse => false,
-        };
-        if !dense {
-            return AnswerTable::sparse(dist, pc);
-        }
-        Ok(AnswerTable::Dense {
-            n: dist.num_vars(),
-            probs: full_answer_distribution(dist, pc, evaluator, pool)?,
-        })
-    }
-
-    /// The **exact** sparse table: the output distribution's own sorted
-    /// support with the channel `pc` kept residual. Works at any `n` the
-    /// substrate supports (up to 64 facts).
-    pub fn sparse(dist: &JointDist, pc: f64) -> Result<AnswerTable, CoreError> {
-        validate_pc(pc)?;
-        Ok(AnswerTable::Sparse {
-            n: dist.num_vars(),
-            pc,
-            entries: dist.iter().map(|(a, p)| (a.0, p)).collect(),
-        })
-    }
-
-    /// Number of facts the table covers.
-    pub fn num_facts(&self) -> usize {
-        match *self {
-            AnswerTable::Dense { n, .. } | AnswerTable::Sparse { n, .. } => n,
-        }
-    }
-
-    /// Number of stored entries (`2^n` dense, support size sparse).
-    pub fn len(&self) -> usize {
-        match self {
-            AnswerTable::Dense { probs, .. } => probs.len(),
-            AnswerTable::Sparse { entries, .. } => entries.len(),
-        }
-    }
-
-    /// Whether the table stores no entries (never true for valid tables).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The answer distribution of `tasks` as a dense `2^|tasks|` vector —
-    /// entry `a` is the probability of the answer pattern whose bit `j`
-    /// is the judgment of the `j`-th smallest member of `tasks`: the
-    /// butterfly body on the table's own entries, serially. Exact for
-    /// both backends; `|tasks|` is bounded by [`MAX_DENSE_FACTS`].
-    pub fn distribution(&self, tasks: VarSet) -> Result<Vec<f64>, CoreError> {
-        let serial = &Pool::serial();
-        match self {
-            // The channel is already applied: the dense table is a
-            // pattern-indexed support behind the identity channel.
-            AnswerTable::Dense { n, probs } => equation2(
-                *n,
-                (0..).map(Assignment).zip(probs.iter().copied()),
-                tasks,
-                1.0,
-                AnswerEvaluator::Butterfly,
-                serial,
-            ),
-            AnswerTable::Sparse { n, pc, entries } => equation2(
-                *n,
-                entries.iter().map(|&(pattern, p)| (Assignment(pattern), p)),
-                tasks,
-                *pc,
-                AnswerEvaluator::Butterfly,
-                serial,
-            ),
-        }
-    }
-
-    /// Entropy `H(T)` in bits of [`AnswerTable::distribution`].
-    pub fn entropy(&self, tasks: VarSet) -> Result<f64, CoreError> {
-        Ok(entropy_of_probs(self.distribution(tasks)?))
-    }
-}
-
 /// Computes the answer distribution for `tasks` with the requested
 /// evaluator, serially. The result is a dense vector of length
 /// `2^|tasks|`; entry `a` is the probability of the answer pattern whose
@@ -206,30 +62,22 @@ pub fn answer_distribution(
     pc: f64,
     evaluator: AnswerEvaluator,
 ) -> Result<Vec<f64>, CoreError> {
-    equation2(
-        dist.num_vars(),
-        dist.iter(),
-        tasks,
-        pc,
-        evaluator,
-        &Pool::serial(),
-    )
+    equation2(dist, tasks, pc, evaluator, &Pool::serial())
 }
 
-/// Equation 2 for `tasks` over a `(pattern, probability)` support of
-/// `n`-fact judgment patterns, on `pool`. The one check of every answer
-/// distribution: `pc` in the model range, `tasks` inside `0..n` and at
-/// most [`MAX_DENSE_FACTS`] wide. Each support entry is restricted to
-/// `tasks` once, then the evaluator's body runs.
+/// Equation 2 for `tasks` over `dist`'s support, on `pool`. The one check
+/// of every answer distribution: `pc` in the model range, `tasks` inside
+/// `0..n` and at most [`MAX_DENSE_FACTS`] wide. Each support entry is
+/// restricted to `tasks` once, then the evaluator's body runs.
 fn equation2(
-    n: usize,
-    support: impl Iterator<Item = (Assignment, f64)>,
+    dist: &JointDist,
     tasks: VarSet,
     pc: f64,
     evaluator: AnswerEvaluator,
     pool: &Pool,
 ) -> Result<Vec<f64>, CoreError> {
     validate_pc(pc)?;
+    let n = dist.num_vars();
     if let Some(bad) = tasks.difference(VarSet::all(n)).iter().next() {
         return Err(CoreError::TaskOutOfRange { index: bad, n });
     }
@@ -240,7 +88,7 @@ fn equation2(
             limit: MAX_DENSE_FACTS,
         });
     }
-    let restricted = support.map(|(o, p)| (o.extract(tasks), p));
+    let restricted = dist.iter().map(|(o, p)| (o.extract(tasks), p));
     Ok(match evaluator {
         AnswerEvaluator::Naive => naive(&restricted.collect::<Vec<_>>(), t, pc, pool),
         AnswerEvaluator::Butterfly => butterfly(restricted, t, pc, pool),
@@ -350,8 +198,7 @@ pub fn full_answer_distribution(
     evaluator: AnswerEvaluator,
     pool: &Pool,
 ) -> Result<Vec<f64>, CoreError> {
-    let n = dist.num_vars();
-    equation2(n, dist.iter(), VarSet::all(n), pc, evaluator, pool)
+    equation2(dist, VarSet::all(dist.num_vars()), pc, evaluator, pool)
 }
 
 /// Bayesian merge of crowd answers (Equation 3): multiplies each output's
@@ -430,31 +277,9 @@ pub fn posterior_in_place(
 mod tests {
     use super::*;
     use crowdfusion_jointdist::presets::paper_running_example;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 5e-4 // paper reports 3 decimals
-    }
-
-    fn random_dist(n: usize, seed: u64) -> JointDist {
-        let mut rng = StdRng::seed_from_u64(seed);
-        JointDist::from_weights(
-            n,
-            (0..(1u64 << n)).map(|a| (Assignment(a), rng.gen_range(0.0..1.0))),
-        )
-        .unwrap()
-    }
-
-    fn dense_table(d: &JointDist, pc: f64) -> AnswerTable {
-        AnswerTable::build(
-            d,
-            pc,
-            AnswerEvaluator::Butterfly,
-            TableBackend::Dense,
-            &Pool::serial(),
-        )
-        .unwrap()
     }
 
     /// Table IV of the paper: the answer joint distribution for the running
@@ -689,46 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn answer_table_backends_agree_on_running_example() {
-        let d = paper_running_example();
-        let dense = dense_table(&d, 0.8);
-        let sparse = AnswerTable::sparse(&d, 0.8).unwrap();
-        assert_eq!(dense.num_facts(), 4);
-        assert_eq!(dense.len(), 16);
-        assert_eq!(sparse.num_facts(), 4);
-        assert!(!sparse.is_empty());
-        for bits in 0u64..16 {
-            let tasks = VarSet(bits);
-            let a = dense.distribution(tasks).unwrap();
-            let b = sparse.distribution(tasks).unwrap();
-            let c = if tasks == VarSet::EMPTY {
-                vec![1.0]
-            } else {
-                answer_distribution(&d, tasks, 0.8, AnswerEvaluator::Butterfly).unwrap()
-            };
-            for ((x, y), z) in a.iter().zip(&b).zip(&c) {
-                assert!((x - y).abs() < 1e-12, "dense vs sparse at {tasks}");
-                assert!((y - z).abs() < 1e-12, "sparse vs evaluator at {tasks}");
-            }
-            assert!((dense.entropy(tasks).unwrap() - sparse.entropy(tasks).unwrap()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn answer_table_validation() {
-        let d = paper_running_example();
-        assert!(matches!(
-            AnswerTable::sparse(&d, 1.2),
-            Err(CoreError::InvalidAccuracy(_))
-        ));
-        let t = AnswerTable::sparse(&d, 0.8).unwrap();
-        assert!(matches!(
-            t.distribution(VarSet::from_vars([9])),
-            Err(CoreError::TaskOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn dense_boundary_accepts_max_dense_facts() {
         // n == MAX_DENSE_FACTS is the last size the dense paths accept.
         // Pc = 1 keeps the check cheap (the channel is the identity, so
@@ -748,8 +533,9 @@ mod tests {
     #[test]
     fn dense_boundary_rejects_one_past_the_limit_where_sparse_takes_over() {
         // n == MAX_DENSE_FACTS + 1 must fail in every *dense* entry point
-        // (the validation fires before any allocation) while the sparse
-        // table accepts the same distribution.
+        // (the validation fires before any allocation) while the support
+        // itself, which both selection paths score past the limit, still
+        // gives the exact answer distribution of a small task set.
         use crate::MAX_DENSE_FACTS;
         let n = MAX_DENSE_FACTS + 1;
         let d = JointDist::certain(n, Assignment(0b111)).unwrap();
@@ -766,28 +552,21 @@ mod tests {
             answer_distribution(&d, VarSet::all(n), 0.8, AnswerEvaluator::Butterfly),
             Err(CoreError::TooManyFacts { .. })
         ));
-        assert!(matches!(
-            AnswerTable::build(
-                &d,
-                0.8,
-                AnswerEvaluator::Butterfly,
-                TableBackend::Dense,
-                &Pool::serial()
-            ),
-            Err(CoreError::TooManyFacts { .. })
-        ));
         // Small task sets on the oversized entity remain legal: the limit
         // is about task-set width, not entity width.
         let small = VarSet::from_vars([0, n - 1]);
         let a = answer_distribution(&d, small, 0.8, AnswerEvaluator::Butterfly).unwrap();
         assert_eq!(a.len(), 4);
-        // And the sparse table covers the full entity exactly.
-        let sparse = AnswerTable::sparse(&d, 0.8).unwrap();
-        assert_eq!(sparse.num_facts(), n);
-        let b = sparse.distribution(small).unwrap();
+        let b = answer_distribution(&d, small, 0.8, AnswerEvaluator::Naive).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
+        // The engine's scatter cache over the same support agrees.
+        let mut cache = crate::selection::engine::ScatterCache::new(&d);
+        let mut scratch = Vec::new();
+        cache.extend(0, 0.8);
+        let h = cache.candidate_entropy(n - 1, 0.8, &mut scratch);
+        assert!((h - entropy_of_probs(a)).abs() < 1e-12);
     }
 
     #[test]
@@ -803,59 +582,5 @@ mod tests {
         for x in w {
             assert!((x - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn table_backend_routing() {
-        let d = random_dist(5, 21);
-        let pool = Pool::new(2);
-        let build = |backend| {
-            AnswerTable::build(&d, 0.8, AnswerEvaluator::Butterfly, backend, &pool).unwrap()
-        };
-        let auto = build(TableBackend::Auto);
-        assert!(matches!(auto, AnswerTable::Dense { .. }));
-        assert_eq!(auto, build(TableBackend::Dense));
-        let sparse = build(TableBackend::Sparse);
-        assert_eq!(sparse, AnswerTable::sparse(&d, 0.8).unwrap());
-        // Both backends agree on every task-set distribution.
-        for bits in 0u64..(1 << 5) {
-            let tasks = VarSet(bits);
-            let a = auto.distribution(tasks).unwrap();
-            let b = sparse.distribution(tasks).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-12, "backend mismatch at {tasks}");
-            }
-        }
-    }
-
-    #[test]
-    fn table_boundary_auto_switches_at_the_dense_limit() {
-        // n == MAX_DENSE_FACTS stays dense (checked at Pc = 1 so the
-        // 2^26 table is a cheap identity scatter); n == MAX_DENSE_FACTS+1
-        // flips Auto to sparse, while forcing Dense reproduces the old
-        // hard failure.
-        let pool = Pool::serial();
-        let build = |d: &JointDist, pc: f64, backend| {
-            AnswerTable::build(d, pc, AnswerEvaluator::Butterfly, backend, &pool)
-        };
-        let at_limit = JointDist::certain(MAX_DENSE_FACTS, Assignment(0b101)).unwrap();
-        let table = build(&at_limit, 1.0, TableBackend::Auto).unwrap();
-        assert!(matches!(table, AnswerTable::Dense { .. }));
-        assert_eq!(table.len(), 1usize << MAX_DENSE_FACTS);
-        drop(table);
-
-        let past = JointDist::certain(MAX_DENSE_FACTS + 1, Assignment(0b101)).unwrap();
-        let table = build(&past, 0.8, TableBackend::Auto).unwrap();
-        assert!(matches!(table, AnswerTable::Sparse { .. }));
-        assert_eq!(table.num_facts(), MAX_DENSE_FACTS + 1);
-        assert!(matches!(
-            build(&past, 0.8, TableBackend::Dense),
-            Err(CoreError::TooManyFacts { requested, limit })
-                if requested == MAX_DENSE_FACTS + 1 && limit == MAX_DENSE_FACTS
-        ));
-        assert!(matches!(
-            full_answer_distribution(&past, 0.8, AnswerEvaluator::Naive, &pool),
-            Err(CoreError::TooManyFacts { .. })
-        ));
     }
 }

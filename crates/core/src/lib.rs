@@ -52,9 +52,7 @@ pub mod shard;
 pub mod system;
 
 pub use allocation::{run_global, GlobalBudgetConfig};
-pub use answers::{
-    answer_distribution, answer_entropy, posterior, AnswerEvaluator, AnswerTable, TableBackend,
-};
+pub use answers::{answer_distribution, answer_entropy, posterior, AnswerEvaluator};
 pub use error::CoreError;
 pub use metrics::{ConfusionCounts, QualityPoint};
 pub use model::{Fact, FactSet};

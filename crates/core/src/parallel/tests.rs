@@ -2,7 +2,7 @@
 //! table is bit-identical to [`Pool::serial`]'s at any thread count, for
 //! both evaluators; Pc = 1 is the identity and an invalid Pc is rejected.
 
-use crate::answers::{full_answer_distribution, AnswerEvaluator, AnswerTable, TableBackend};
+use crate::answers::{full_answer_distribution, AnswerEvaluator};
 use crate::error::CoreError;
 use crate::pool::Pool;
 use crowdfusion_jointdist::presets::paper_running_example;
@@ -32,8 +32,8 @@ fn cases() -> Vec<(JointDist, f64)> {
     ]
 }
 
-/// `evaluator`'s full table, and the `Auto` answer table built from it,
-/// match `Pool::serial()`'s bit for bit on every case at every thread count.
+/// `evaluator`'s full table matches `Pool::serial()`'s bit for bit on every
+/// case at every thread count.
 fn assert_thread_invariant(evaluator: AnswerEvaluator) {
     for (d, pc) in cases() {
         let serial = full_answer_distribution(&d, pc, evaluator, &Pool::serial()).unwrap();
@@ -41,14 +41,6 @@ fn assert_thread_invariant(evaluator: AnswerEvaluator) {
             let pool = Pool::new(threads);
             let got = full_answer_distribution(&d, pc, evaluator, &pool).unwrap();
             assert_eq!(got, serial, "{evaluator:?} pc={pc} threads={threads}");
-            let table = AnswerTable::build(&d, pc, evaluator, TableBackend::Auto, &pool).unwrap();
-            assert_eq!(
-                table,
-                AnswerTable::Dense {
-                    n: d.num_vars(),
-                    probs: got,
-                }
-            );
         }
     }
 }
@@ -99,16 +91,6 @@ fn validation() {
                 full_answer_distribution(&d, pc, ev, &pool),
                 Err(CoreError::InvalidAccuracy(_))
             ));
-            for backend in [
-                TableBackend::Auto,
-                TableBackend::Dense,
-                TableBackend::Sparse,
-            ] {
-                assert!(matches!(
-                    AnswerTable::build(&d, pc, ev, backend, &pool),
-                    Err(CoreError::InvalidAccuracy(_))
-                ));
-            }
         }
     }
 }

@@ -30,7 +30,7 @@
 //! evaluations shard freely across a [`crate::pool::Pool`]; each worker
 //! brings its own scratch buffer.
 
-use crate::answers::{bsc_transform_in_place, AnswerTable};
+use crate::answers::bsc_transform_in_place;
 use crowdfusion_jointdist::{entropy_of_probs, JointDist};
 
 /// Cached restricted scatter of the output distribution for the greedy
@@ -66,48 +66,6 @@ impl ScatterCache {
             y: vec![1.0],
             depth: 0,
         }
-    }
-
-    /// An empty-`T` cache over an [`AnswerTable`]'s support, paired with
-    /// the accuracy to evaluate candidates at.
-    ///
-    /// A sparse table *is* a sorted `(pattern, probability)` support with
-    /// a residual channel, so the cache consumes it directly and
-    /// candidates are evaluated at the table's residual `pc`. A dense
-    /// table has the channel pre-applied: its positive entries become the
-    /// support and the returned accuracy is 1 (the identity channel),
-    /// under which [`ScatterCache::candidate_entropy`] computes exact
-    /// answer-marginal entropies of the table.
-    pub fn from_table(table: &AnswerTable) -> (ScatterCache, f64) {
-        let (bits, probs, pc): (Vec<u64>, Vec<f64>, f64) = match table {
-            AnswerTable::Sparse { pc, entries, .. } => (
-                entries.iter().map(|&(b, _)| b).collect(),
-                entries.iter().map(|&(_, p)| p).collect(),
-                *pc,
-            ),
-            AnswerTable::Dense { probs, .. } => {
-                let mut bits = Vec::new();
-                let mut mass = Vec::new();
-                for (pattern, &p) in probs.iter().enumerate() {
-                    if p > 0.0 {
-                        bits.push(pattern as u64);
-                        mass.push(p);
-                    }
-                }
-                (bits, mass, 1.0)
-            }
-        };
-        let m = bits.len();
-        (
-            ScatterCache {
-                bits,
-                probs,
-                pat: vec![0; m],
-                y: vec![1.0],
-                depth: 0,
-            },
-            pc,
-        )
     }
 
     /// Current `|T|`.
@@ -283,8 +241,6 @@ mod tests {
 
     #[test]
     fn one_pass_entropies_are_depth_zero_candidate_entropies_bit_for_bit() {
-        use crate::answers::{AnswerTable, TableBackend};
-        use crate::pool::Pool;
         let sparse32 = JointDist::from_weights(
             32,
             (0..64u64).map(|i| {
@@ -302,107 +258,17 @@ mod tests {
             sparse32,
         ] {
             let n = d.num_vars();
+            let cache = ScatterCache::new(&d);
+            let mut scratch = Vec::new();
             for pc in [0.6, 0.8, 0.95, 1.0] {
-                let mut caches = vec![(ScatterCache::new(&d), pc)];
-                caches.push(ScatterCache::from_table(
-                    &AnswerTable::sparse(&d, pc).unwrap(),
-                ));
-                if n <= 12 {
-                    let dense = AnswerTable::build(
-                        &d,
-                        pc,
-                        AnswerEvaluator::Butterfly,
-                        TableBackend::Dense,
-                        &Pool::serial(),
-                    )
-                    .unwrap();
-                    caches.push(ScatterCache::from_table(&dense));
-                }
-                let mut scratch = Vec::new();
-                for (cache, pc) in &caches {
-                    let one_pass = cache.single_task_entropies(n, *pc);
-                    assert_eq!(one_pass.len(), n);
-                    for (f, h) in one_pass.into_iter().enumerate() {
-                        let want = cache.candidate_entropy(f, *pc, &mut scratch);
-                        assert_eq!(h.to_bits(), want.to_bits(), "n {n} pc {pc} fact {f}");
-                    }
+                let one_pass = cache.single_task_entropies(n, pc);
+                assert_eq!(one_pass.len(), n);
+                for (f, h) in one_pass.into_iter().enumerate() {
+                    let want = cache.candidate_entropy(f, pc, &mut scratch);
+                    assert_eq!(h.to_bits(), want.to_bits(), "n {n} pc {pc} fact {f}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_table_matches_direct_cache_for_both_backends() {
-        use crate::answers::{AnswerEvaluator, AnswerTable, TableBackend};
-        use crate::pool::Pool;
-        let d = random_dist(6, 4);
-        let pc = 0.8;
-        let sparse = AnswerTable::sparse(&d, pc).unwrap();
-        let dense = AnswerTable::build(
-            &d,
-            pc,
-            AnswerEvaluator::Butterfly,
-            TableBackend::Dense,
-            &Pool::serial(),
-        )
-        .unwrap();
-        let (mut from_sparse, sparse_pc) = ScatterCache::from_table(&sparse);
-        let (mut from_dense, dense_pc) = ScatterCache::from_table(&dense);
-        assert_eq!(sparse_pc, pc);
-        assert_eq!(dense_pc, 1.0);
-        let mut ref_cache = ScatterCache::new(&d);
-        let mut scratch = Vec::new();
-        let mut tasks = VarSet::EMPTY;
-        for step in 0..4 {
-            for f in 0..6 {
-                if tasks.contains(f) {
-                    continue;
-                }
-                let want = ref_cache.candidate_entropy(f, pc, &mut scratch);
-                let via_sparse = from_sparse.candidate_entropy(f, sparse_pc, &mut scratch);
-                let via_dense = from_dense.candidate_entropy(f, dense_pc, &mut scratch);
-                assert!(
-                    (via_sparse - want).abs() < 1e-10,
-                    "sparse table diverged at step {step} f {f}"
-                );
-                assert!(
-                    (via_dense - want).abs() < 1e-10,
-                    "dense table diverged at step {step} f {f}"
-                );
-            }
-            let f = (0..6).find(|&v| !tasks.contains(v)).unwrap();
-            ref_cache.extend(f, pc);
-            from_sparse.extend(f, sparse_pc);
-            from_dense.extend(f, dense_pc);
-            tasks = tasks.insert(f);
-        }
-    }
-
-    #[test]
-    fn from_table_handles_large_sparse_supports() {
-        use crate::answers::AnswerTable;
-        // 30 facts, sparse support: the dense evaluators reject this size
-        // but the cache evaluates it exactly.
-        let n = 30usize;
-        let entries = (0..40u64).map(|i| {
-            (
-                Assignment((i.wrapping_mul(0x9E37_79B9)) & ((1 << n) - 1)),
-                1.0 + i as f64,
-            )
-        });
-        let d = JointDist::from_weights(n, entries).unwrap();
-        let table = AnswerTable::sparse(&d, 0.9).unwrap();
-        let (mut cache, pc) = ScatterCache::from_table(&table);
-        let mut scratch = Vec::new();
-        // Candidate entropies must match the table's own exact
-        // distribution-based entropy for singleton and pair task sets.
-        let h0 = cache.candidate_entropy(7, pc, &mut scratch);
-        let want0 = table.entropy(VarSet::single(7)).unwrap();
-        assert!((h0 - want0).abs() < 1e-10);
-        cache.extend(7, pc);
-        let h1 = cache.candidate_entropy(29, pc, &mut scratch);
-        let want1 = table.entropy(VarSet::from_vars([7, 29])).unwrap();
-        assert!((h1 - want1).abs() < 1e-10);
     }
 
     #[test]

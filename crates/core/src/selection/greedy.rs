@@ -1,18 +1,18 @@
 //! Algorithm 1: the `(1 − 1/e)`-approximate greedy task selector, with
-//! Theorem 3 pruning, Algorithm 2 preprocessing (dense *and* sparse
-//! answer tables), and the selection engine's cached-scatter + pooled
+//! Theorem 3 pruning, Algorithm 2 preprocessing (the dense Table-IV
+//! answer table), and the selection engine's cached-scatter + pooled
 //! evaluation fast path.
 //!
 //! Every configuration runs one of two pooled greedy loops parameterised
 //! by a [`CandidateScorer`]: the paper's eager loop (no prune bound, or
 //! an unsound Table V bound) or the exact lazy loop ([`PruneBound::Safe`]).
 //! The paper's brute-force per-candidate evaluation, the engine's
-//! incremental scatter cache (which also serves the sparse preprocessed
-//! path beyond [`crate::MAX_DENSE_FACTS`]), and the dense Table-IV
-//! partition refinement are three scorers behind the same
-//! round/prune/early-exit bookkeeping.
+//! incremental scatter cache (which also serves the preprocessed path
+//! past [`crate::MAX_DENSE_FACTS`] facts, where no `2^n` table fits), and
+//! the dense Table-IV partition refinement are three scorers behind the
+//! same round/prune/early-exit bookkeeping.
 
-use crate::answers::{answer_entropy, AnswerEvaluator, AnswerTable, TableBackend};
+use crate::answers::{answer_entropy, full_answer_distribution, AnswerEvaluator};
 use crate::error::CoreError;
 use crate::pool::Pool;
 use crate::selection::engine::ScatterCache;
@@ -112,10 +112,9 @@ impl CandidateScorer for NaiveScorer<'_> {
 }
 
 /// The engine's incremental evaluation: one cached-scatter bucket split
-/// plus a half-size butterfly per candidate. Serves both the direct
-/// butterfly path (cache over the output support, channel `pc`) and the
-/// sparse preprocessed path (cache over an [`AnswerTable`]'s support at
-/// its residual accuracy).
+/// plus a half-size butterfly per candidate, over the output support.
+/// Serves the direct butterfly path and, past [`crate::MAX_DENSE_FACTS`]
+/// facts, the preprocessed path of either evaluator.
 struct EngineScorer {
     cache: ScatterCache,
     pc: f64,
@@ -176,14 +175,12 @@ impl CandidateScorer for PartitionScorer<'_> {
 }
 
 /// The greedy selector (Algorithm 1) in its four paper configurations plus
-/// the engine-backed fast variants (cached scatter, pooled candidates,
-/// sparse answer tables).
+/// the engine-backed fast variants (cached scatter, pooled candidates).
 #[derive(Debug, Clone)]
 pub struct GreedySelector {
     evaluator: AnswerEvaluator,
     prune: Option<PruneBound>,
     preprocess: bool,
-    backend: TableBackend,
     pool: Pool,
 }
 
@@ -195,7 +192,6 @@ impl GreedySelector {
             evaluator: AnswerEvaluator::Naive,
             prune: None,
             preprocess: false,
-            backend: TableBackend::Auto,
             pool: Pool::serial(),
         }
     }
@@ -208,7 +204,6 @@ impl GreedySelector {
             evaluator: AnswerEvaluator::Butterfly,
             prune: Some(PruneBound::Safe),
             preprocess: false,
-            backend: TableBackend::Auto,
             pool: Pool::serial(),
         }
     }
@@ -226,25 +221,14 @@ impl GreedySelector {
         self
     }
 
-    /// Enables Algorithm 2 preprocessing (answer-table partition
-    /// refinement with memoised separations; beyond the dense limit the
-    /// table — and hence the refinement — switches to the sparse
-    /// backend, see [`GreedySelector::with_table_backend`]).
+    /// Enables Algorithm 2 preprocessing: answer-table partition
+    /// refinement with memoised separations, up to
+    /// [`crate::MAX_DENSE_FACTS`] facts. Past that limit no `2^n` table
+    /// fits, and candidates score through the engine's scatter cache, as
+    /// on the direct path.
     #[must_use]
     pub fn with_preprocess(mut self) -> GreedySelector {
         self.preprocess = true;
-        self
-    }
-
-    /// Pins the preprocessed path's answer-table backend. The default
-    /// ([`TableBackend::Auto`]) uses the paper's dense Table-IV partition
-    /// refinement up to [`crate::MAX_DENSE_FACTS`] facts and the exact
-    /// sparse support-backed table beyond; forcing
-    /// [`TableBackend::Sparse`] is mainly for cross-validation, forcing
-    /// [`TableBackend::Dense`] restores the pre-sparse hard failure.
-    #[must_use]
-    pub fn with_table_backend(mut self, backend: TableBackend) -> GreedySelector {
-        self.backend = backend;
         self
     }
 
@@ -529,17 +513,15 @@ impl GreedySelector {
 
     /// Greedy selection over the preprocessed answer table (Algorithm 2).
     ///
-    /// The answer table is computed once on the pool (the paper's
-    /// MapReduce-friendly step). Dense tables (up to
-    /// [`crate::MAX_DENSE_FACTS`] facts) use the paper's partition
-    /// refinement: each candidate's marginal is a single scan refining the
+    /// Up to [`crate::MAX_DENSE_FACTS`] facts the dense Table-IV answer
+    /// table is computed once on the pool (the paper's MapReduce-friendly
+    /// step), and each candidate's marginal is a single scan refining the
     /// current partition of answer patterns by the candidate's judgment
     /// bit, with the chosen fact's separation memoised — `O(n · 2^n /
-    /// threads)` per round. Beyond the dense limit the table is the exact
-    /// sparse support and candidates evaluate through the engine's
-    /// scatter cache at the table's residual accuracy — `O(n · (|O| +
-    /// 2^|T|) / threads)` per round, which is what lifts the `2^n`
-    /// ceiling from this path.
+    /// threads)` per round. Past the limit the only sparse form of the
+    /// table is the output support itself, so candidates score through
+    /// the engine's scatter cache, for either evaluator — `O(n · (|O| +
+    /// 2^|T|) / threads)` per round, the direct path's cost.
     fn select_preprocessed(
         &self,
         dist: &JointDist,
@@ -547,23 +529,12 @@ impl GreedySelector {
         k_eff: usize,
     ) -> Result<Vec<usize>, CoreError> {
         let n = dist.num_vars();
-        let table = AnswerTable::build(dist, pc, self.evaluator, self.backend, &self.pool)?;
-        Ok(match &table {
-            AnswerTable::Dense { probs, .. } => {
-                self.greedy_loop(n, k_eff, PartitionScorer::new(probs))
-            }
-            AnswerTable::Sparse { .. } => {
-                let (cache, residual_pc) = ScatterCache::from_table(&table);
-                self.greedy_loop(
-                    n,
-                    k_eff,
-                    EngineScorer {
-                        cache,
-                        pc: residual_pc,
-                    },
-                )
-            }
-        })
+        if n > crate::MAX_DENSE_FACTS {
+            let cache = ScatterCache::new(dist);
+            return Ok(self.greedy_loop(n, k_eff, EngineScorer { cache, pc }));
+        }
+        let table = full_answer_distribution(dist, pc, self.evaluator, &self.pool)?;
+        Ok(self.greedy_loop(n, k_eff, PartitionScorer::new(&table)))
     }
 }
 
@@ -589,11 +560,7 @@ impl TaskSelector for GreedySelector {
             None => {}
         }
         if self.preprocess {
-            name.push_str(match self.backend {
-                TableBackend::Auto => "+pre",
-                TableBackend::Dense => "+pre(dense)",
-                TableBackend::Sparse => "+pre(sparse)",
-            });
+            name.push_str("+pre");
         }
         if self.pool.threads() > 1 {
             name.push_str(&format!("@{}t", self.pool.threads()));
@@ -780,9 +747,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_preprocessing() {
-        // Forcing the sparse table must reproduce the dense partition
-        // refinement's selections wherever both backends apply.
+    fn preprocessing_matches_the_direct_engine() {
+        // The dense partition refinement must reproduce the direct
+        // engine's selections, which is what the preprocessed path runs
+        // past the dense limit.
         let mut seed_rng = StdRng::seed_from_u64(123);
         for trial in 0..20 {
             use rand::Rng;
@@ -795,17 +763,14 @@ mod tests {
             });
             let d = JointDist::from_weights(n, entries).unwrap();
             for pc in [0.7, 0.85, 1.0] {
-                let dense = GreedySelector::fast()
+                let preprocessed = GreedySelector::fast()
                     .with_preprocess()
-                    .with_table_backend(crate::answers::TableBackend::Dense)
                     .select(&d, pc, 3, &mut rng())
                     .unwrap();
-                let sparse = GreedySelector::fast()
-                    .with_preprocess()
-                    .with_table_backend(crate::answers::TableBackend::Sparse)
+                let direct = GreedySelector::fast()
                     .select(&d, pc, 3, &mut rng())
                     .unwrap();
-                assert_eq!(dense, sparse, "trial {trial} pc {pc}");
+                assert_eq!(preprocessed, direct, "trial {trial} pc {pc}");
             }
         }
     }
@@ -826,48 +791,38 @@ mod tests {
 
     #[test]
     fn preprocessed_selection_works_beyond_the_dense_limit() {
-        // A 32-fact entity: the old preprocessed path hard-failed with
-        // TooManyFacts; the sparse backend selects, identically to the
-        // direct engine path and for every thread count.
-        let d = large_sparse_dist(32, 96, 5);
-        let direct = GreedySelector::fast()
-            .select(&d, 0.8, 4, &mut rng())
-            .unwrap();
-        assert_eq!(direct.len(), 4);
-        let reference = GreedySelector::fast()
-            .with_preprocess()
-            .select(&d, 0.8, 4, &mut rng())
-            .unwrap();
-        assert_eq!(
-            reference, direct,
-            "sparse preprocessed must agree with the direct engine"
-        );
-        for threads in [2usize, 4, 7] {
-            let pooled = GreedySelector::engine(threads)
-                .with_preprocess()
-                .select(&d, 0.8, 4, &mut rng())
+        // One past the dense limit and at 32 facts, the preprocessed path
+        // selects exactly as the direct engine does, for either evaluator
+        // and every thread count.
+        let approx_engine =
+            GreedySelector::paper_approx().with_evaluator(AnswerEvaluator::Butterfly);
+        for (n, support, seed, k) in [(crate::MAX_DENSE_FACTS + 1, 16, 9, 2), (32, 96, 5, 4)] {
+            let d = large_sparse_dist(n, support, seed);
+            let direct = GreedySelector::fast()
+                .select(&d, 0.8, k, &mut rng())
                 .unwrap();
-            assert_eq!(pooled, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn forced_dense_backend_still_rejects_oversized_entities() {
-        let d = large_sparse_dist(crate::MAX_DENSE_FACTS + 1, 16, 9);
-        assert!(matches!(
-            GreedySelector::fast()
+            assert_eq!(direct.len(), k);
+            let reference = GreedySelector::fast()
                 .with_preprocess()
-                .with_table_backend(crate::answers::TableBackend::Dense)
-                .select(&d, 0.8, 2, &mut rng()),
-            Err(CoreError::TooManyFacts { requested, limit })
-                if requested == crate::MAX_DENSE_FACTS + 1 && limit == crate::MAX_DENSE_FACTS
-        ));
-        // Auto at the same size succeeds through the sparse table.
-        let tasks = GreedySelector::fast()
-            .with_preprocess()
-            .select(&d, 0.8, 2, &mut rng())
-            .unwrap();
-        assert_eq!(tasks.len(), 2);
+                .select(&d, 0.8, k, &mut rng())
+                .unwrap();
+            assert_eq!(reference, direct, "n = {n}");
+            for threads in [2usize, 4, 7] {
+                let pooled = GreedySelector::engine(threads)
+                    .with_preprocess()
+                    .select(&d, 0.8, k, &mut rng())
+                    .unwrap();
+                assert_eq!(pooled, reference, "n = {n}, threads = {threads}");
+            }
+            assert_eq!(
+                GreedySelector::paper_approx()
+                    .with_preprocess()
+                    .select(&d, 0.8, k, &mut rng())
+                    .unwrap(),
+                approx_engine.select(&d, 0.8, k, &mut rng()).unwrap(),
+                "naive evaluator, n = {n}"
+            );
+        }
     }
 
     #[test]
@@ -910,11 +865,8 @@ mod tests {
             "greedy[butterfly]+prune(safe)@4t"
         );
         assert_eq!(
-            GreedySelector::fast()
-                .with_preprocess()
-                .with_table_backend(crate::answers::TableBackend::Sparse)
-                .name(),
-            "greedy[butterfly]+prune(safe)+pre(sparse)"
+            GreedySelector::fast().with_preprocess().name(),
+            "greedy[butterfly]+prune(safe)+pre"
         );
     }
 

@@ -17,7 +17,7 @@ use crowdfusion_core::prior::default_grouped_prior;
 use crowdfusion_core::round::{EntityCase, RoundConfig};
 use crowdfusion_core::selection::{GreedySelector, PruneBound, TaskSelector};
 use crowdfusion_core::system::Experiment;
-use crowdfusion_core::{AnswerEvaluator, TableBackend};
+use crowdfusion_core::AnswerEvaluator;
 use crowdfusion_crowd::{CrowdPlatform, UniformAccuracy, WorkerPool};
 use crowdfusion_jointdist::{Assignment, JointDist};
 use proptest::prelude::*;
@@ -218,17 +218,13 @@ proptest! {
     ) {
         // (c) `fast()` runs the lazy loop; the same scorer without a prune
         // bound runs the eager one. Both the direct path and the
-        // preprocessed path (dense partition refinement and forced-sparse
-        // table) must agree, at 1 and 4 threads.
+        // preprocessed path (dense partition refinement) must agree, at 1
+        // and 4 threads.
         let d = lazy_input(family, n, rounds, seed);
         let eager = GreedySelector::paper_approx().with_evaluator(AnswerEvaluator::Butterfly);
         let pairs = [
             (GreedySelector::fast(), eager.clone()),
-            (GreedySelector::fast().with_preprocess(), eager.clone().with_preprocess()),
-            (
-                GreedySelector::fast().with_preprocess().with_table_backend(TableBackend::Sparse),
-                eager.with_preprocess().with_table_backend(TableBackend::Sparse),
-            ),
+            (GreedySelector::fast().with_preprocess(), eager.with_preprocess()),
         ];
         for (lazy, eager) in pairs {
             for threads in [1usize, 4] {

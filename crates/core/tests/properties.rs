@@ -1,14 +1,14 @@
 //! Property-based tests for the CrowdFusion core algorithms.
 
 use crowdfusion_core::answers::{
-    answer_distribution, answer_entropy, posterior, AnswerEvaluator, AnswerTable, TableBackend,
+    answer_distribution, answer_entropy, full_answer_distribution, posterior, AnswerEvaluator,
 };
 use crowdfusion_core::pool::Pool;
 use crowdfusion_core::query::{query_utility, truth_answer_joint_entropy};
 use crowdfusion_core::selection::{
-    GreedySelector, OptSelector, PruneBound, RandomSelector, TaskSelector,
+    GreedySelector, OptSelector, PruneBound, RandomSelector, ScatterCache, TaskSelector,
 };
-use crowdfusion_jointdist::{binary_entropy, Assignment, JointDist, VarSet};
+use crowdfusion_jointdist::{binary_entropy, entropy_of_probs, Assignment, JointDist, VarSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -180,66 +180,79 @@ proptest! {
 
     #[test]
     fn sparse_and_dense_answer_tables_agree((d, pc) in (arb_dist(), arb_pc())) {
-        // The sparse support-backed table must reproduce the dense
-        // Table-IV marginals exactly (within PROB_EPSILON) for every
-        // task set and both dense evaluators.
+        // The sparse form of the answer table is the support itself, which
+        // the direct evaluators read. Marginalising the dense Table-IV
+        // answer table onto any task set must give that set's answer
+        // distribution (within PROB_EPSILON) and its entropy, for both
+        // evaluators.
         let n = d.num_vars();
-        let sparse = AnswerTable::sparse(&d, pc).unwrap();
         for evaluator in [AnswerEvaluator::Naive, AnswerEvaluator::Butterfly] {
-            let dense =
-                AnswerTable::build(&d, pc, evaluator, TableBackend::Dense, &Pool::serial()).unwrap();
+            let table = full_answer_distribution(&d, pc, evaluator, &Pool::serial()).unwrap();
             for bits in 0u64..(1u64 << n) {
                 let tasks = VarSet(bits);
-                let a = dense.distribution(tasks).unwrap();
-                let b = sparse.distribution(tasks).unwrap();
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
+                let mut marginal = vec![0.0; 1usize << tasks.len()];
+                for (pattern, &p) in table.iter().enumerate() {
+                    marginal[Assignment(pattern as u64).extract(tasks) as usize] += p;
+                }
+                let direct = answer_distribution(&d, tasks, pc, evaluator).unwrap();
+                prop_assert_eq!(marginal.len(), direct.len());
+                for (x, y) in marginal.iter().zip(&direct) {
                     prop_assert!(
                         (x - y).abs() < crowdfusion_jointdist::PROB_EPSILON,
                         "{:?} diverged at {}: {} vs {}", evaluator, tasks, x, y
                     );
                 }
+                let want = answer_entropy(&d, tasks, pc, evaluator).unwrap();
+                prop_assert!((entropy_of_probs(marginal) - want).abs() < 1e-10);
             }
         }
     }
 
     #[test]
     fn sparse_tables_agree_with_the_direct_evaluators((d, pc) in (arb_dist(), arb_pc())) {
+        // Past MAX_DENSE_FACTS the preprocessed path scores the support
+        // through a ScatterCache. Extending the cache along any task set
+        // must reproduce that set's answer entropy.
         let n = d.num_vars();
-        let sparse = AnswerTable::sparse(&d, pc).unwrap();
+        let mut scratch = Vec::new();
         for bits in 1u64..(1u64 << n) {
             let tasks = VarSet(bits);
-            let direct = answer_distribution(&d, tasks, pc, AnswerEvaluator::Butterfly).unwrap();
-            let via_table = sparse.distribution(tasks).unwrap();
-            for (x, y) in direct.iter().zip(&via_table) {
-                prop_assert!((x - y).abs() < crowdfusion_jointdist::PROB_EPSILON);
+            let facts: Vec<usize> = (0..n).filter(|&f| tasks.contains(f)).collect();
+            let (&last, committed) = facts.split_last().unwrap();
+            let mut cache = ScatterCache::new(&d);
+            for &f in committed {
+                cache.extend(f, pc);
             }
-            let h = sparse.entropy(tasks).unwrap();
-            let want = answer_entropy(&d, tasks, pc, AnswerEvaluator::Butterfly).unwrap();
-            prop_assert!((h - want).abs() < 1e-10);
+            let h = cache.candidate_entropy(last, pc, &mut scratch);
+            for evaluator in [AnswerEvaluator::Naive, AnswerEvaluator::Butterfly] {
+                let want = answer_entropy(&d, tasks, pc, evaluator).unwrap();
+                prop_assert!((h - want).abs() < 1e-10,
+                    "{:?} diverged at {}: {} vs {}", evaluator, tasks, h, want);
+            }
         }
     }
 
     #[test]
-    fn greedy_selections_identical_across_table_backends((d, pc) in (arb_dist(), 0.55f64..=1.0)) {
-        // Where both backends apply (n ≤ MAX_DENSE_FACTS), forcing the
-        // sparse answer table must not change any greedy selection. (At
-        // exactly Pc = 0.5 every candidate ties at H = |T| bits and the
-        // two backends' different floating-point routes may break the tie
+    fn preprocessed_greedy_matches_the_direct_engine((d, pc) in (arb_dist(), 0.55f64..=1.0)) {
+        // The preprocessed path's dense partition refinement must not
+        // change any selection of the direct engine, which is what the
+        // preprocessed path runs past MAX_DENSE_FACTS. (At exactly
+        // Pc = 0.5 every candidate ties at H = |T| bits and the two
+        // paths' different floating-point routes may break the tie
         // differently — a pure-noise crowd carries no signal, so the
         // degenerate point is excluded.)
         let k = 3;
-        for base in [GreedySelector::fast(), GreedySelector::paper_approx()] {
-            let dense = base.clone()
-                .with_preprocess()
-                .with_table_backend(TableBackend::Dense)
-                .select(&d, pc, k, &mut rng()).unwrap();
-            let sparse = base
-                .with_preprocess()
-                .with_table_backend(TableBackend::Sparse)
-                .select(&d, pc, k, &mut rng()).unwrap();
-            prop_assert_eq!(&dense, &sparse,
-                "backends diverged: dense {:?} vs sparse {:?}", dense, sparse);
+        for (preprocessed, direct) in [
+            (GreedySelector::fast().with_preprocess(), GreedySelector::fast()),
+            (
+                GreedySelector::paper_approx().with_preprocess(),
+                GreedySelector::paper_approx().with_evaluator(AnswerEvaluator::Butterfly),
+            ),
+        ] {
+            let want = direct.select(&d, pc, k, &mut rng()).unwrap();
+            let got = preprocessed.select(&d, pc, k, &mut rng()).unwrap();
+            prop_assert_eq!(&got, &want,
+                "{} picked {:?}, {} picked {:?}", preprocessed.name(), got, direct.name(), want);
         }
     }
 

@@ -83,7 +83,7 @@ impl BookGenConfig {
     /// pool so the shared-author format variants form sizeable
     /// correlation groups. Beyond the engine's dense limit
     /// (`MAX_DENSE_FACTS` = 26) these books exercise the sparse prior
-    /// and sparse answer-table paths end to end.
+    /// and the selection engine that scores its support, end to end.
     pub fn large(n_statements: usize) -> BookGenConfig {
         BookGenConfig {
             n_books: 4,
@@ -95,21 +95,25 @@ impl BookGenConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.n_books > 0, "n_books must be positive");
-        assert!(
+    /// Checks that the configuration can generate a dataset; the error
+    /// says which condition failed. [`generate`] panics on a configuration
+    /// that fails this check.
+    pub fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, message: &str| if ok { Ok(()) } else { Err(message.to_string()) };
+        ensure(self.n_books > 0, "n_books must be positive")?;
+        ensure(
             self.n_sources + self.n_specialists > 0,
-            "need at least one source"
-        );
-        assert!(
+            "n_sources + n_specialists must be positive",
+        )?;
+        ensure(
             self.authors_per_book.0 >= 1 && self.authors_per_book.0 <= self.authors_per_book.1,
-            "invalid authors_per_book range"
-        );
-        assert!(
+            "authors_per_book must satisfy 1 <= min <= max",
+        )?;
+        ensure(
             self.statements_per_book.0 >= 2
                 && self.statements_per_book.0 <= self.statements_per_book.1,
-            "statements_per_book must span at least [2, hi]"
-        );
+            "statements_per_book must satisfy 2 <= min <= max",
+        )?;
         for p in [
             self.textbook_fraction,
             self.source_reliability.0,
@@ -118,12 +122,14 @@ impl BookGenConfig {
             self.specialist_other_reliability,
             self.participation,
         ] {
-            assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("probability {p} out of range"));
+            }
         }
-        assert!(
+        ensure(
             self.source_reliability.0 <= self.source_reliability.1,
-            "invalid reliability range"
-        );
+            "source_reliability must satisfy min <= max",
+        )
     }
 }
 
@@ -419,9 +425,12 @@ fn draft_statements<R: Rng + ?Sized>(
     drafts
 }
 
-/// Generates a synthetic Book dataset.
+/// Generates a synthetic Book dataset; panics if
+/// [`BookGenConfig::validate`] rejects `config`.
 pub fn generate(config: BookGenConfig) -> GeneratedBooks {
-    config.validate();
+    if let Err(e) = config.validate() {
+        panic!("invalid BookGenConfig: {e}");
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut builder = DatasetBuilder::new();
 

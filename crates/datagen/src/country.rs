@@ -84,15 +84,30 @@ const COUNTRY_STEMS: [&str; 20] = [
     "Sorvia", "Tellan",
 ];
 
-/// Generates the configured number of countries.
+impl CountryGenConfig {
+    /// Checks that the configuration can generate countries; the error
+    /// says which condition failed. [`generate`] panics on a configuration
+    /// that fails this check.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_countries == 0 {
+            return Err("n_countries must be positive".to_string());
+        }
+        if !((0.0..=1.0).contains(&self.implication_penalty)
+            && (0.0..=1.0).contains(&self.exclusivity_penalty)
+            && (0.0..=0.5).contains(&self.marginal_noise))
+        {
+            return Err("penalties or marginal_noise out of range".to_string());
+        }
+        Ok(())
+    }
+}
+
+/// Generates the configured number of countries; panics if
+/// [`CountryGenConfig::validate`] rejects `config`.
 pub fn generate(config: CountryGenConfig) -> Vec<CountryFacts> {
-    assert!(config.n_countries > 0, "n_countries must be positive");
-    assert!(
-        (0.0..=1.0).contains(&config.implication_penalty)
-            && (0.0..=1.0).contains(&config.exclusivity_penalty)
-            && (0.0..=0.5).contains(&config.marginal_noise),
-        "invalid penalties/noise"
-    );
+    if let Err(e) = config.validate() {
+        panic!("invalid CountryGenConfig: {e}");
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     (0..config.n_countries)
         .map(|i| generate_one(&config, &mut rng, i))

@@ -70,7 +70,7 @@ USAGE:
                      [--read-deadline-ms MS] [--max-line-bytes N]
                      [--budget-mode per-session|global] [--global-budget N]
   crowdfusion demo
-  crowdfusion help
+  crowdfusion help            (also COMMAND --help or COMMAND -h)
 
 Fusion methods (the strategy registry; modified-crh is the default):
   uniform, majority, crh, modified-crh, truthfinder, accu — global methods;
@@ -107,10 +107,14 @@ BudgetStatus reports the shared ledger.
 struct Flags(BTreeMap<String, String>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// `None` when `--help` or `-h` stands where a flag name is expected.
+    fn parse(args: &[String]) -> Result<Option<Flags>, String> {
         let mut map = BTreeMap::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
+            if flag == "--help" || flag == "-h" {
+                return Ok(None);
+            }
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("unexpected argument {flag:?}"));
             };
@@ -121,7 +125,7 @@ impl Flags {
                 return Err(format!("flag --{name} given twice"));
             }
         }
-        Ok(Flags(map))
+        Ok(Some(Flags(map)))
     }
 
     fn take<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -176,7 +180,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let Some(command) = args.first() else {
         return Err(USAGE.to_string());
     };
-    let flags = Flags::parse(&args[1..])?;
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
+    }
+    let Some(flags) = Flags::parse(&args[1..])? else {
+        return Ok(USAGE.to_string());
+    };
     match command.as_str() {
         "generate-books" => {
             flags.ensure_known(&[
@@ -200,6 +209,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 seed,
                 ..BookGenConfig::default()
             };
+            config.validate()?;
             let mut books = generate_books(config);
             // --attributes true rebuilds the dataset with typed claims
             // (authors/pages/published) for the per-attribute resolvers;
@@ -219,11 +229,13 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "generate-countries" => {
             flags.ensure_known(&["out", "countries", "seed"])?;
             let out = flags.required("out")?;
-            let countries = generate_countries(CountryGenConfig {
+            let config = CountryGenConfig {
                 n_countries: flags.take("countries", 20usize)?,
                 seed: flags.take("seed", 7u64)?,
                 ..CountryGenConfig::default()
-            });
+            };
+            config.validate()?;
+            let countries = generate_countries(config);
             export::save_countries(&countries, Path::new(&out)).map_err(|e| e.to_string())?;
             Ok(format!("wrote {} countries to {out}", countries.len()))
         }
@@ -471,7 +483,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 names.join(", ")
             ))
         }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     }
 }

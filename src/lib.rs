@@ -63,7 +63,7 @@ pub use crowdfusion_service as service;
 pub mod prelude {
     pub use crowdfusion_core::allocation::{run_global, GlobalBudgetConfig};
     pub use crowdfusion_core::answers::{
-        answer_distribution, answer_entropy, posterior, AnswerEvaluator, AnswerTable, TableBackend,
+        answer_distribution, answer_entropy, posterior, AnswerEvaluator,
     };
     pub use crowdfusion_core::metrics::{ConfusionCounts, QualityPoint};
     pub use crowdfusion_core::model::{Fact, FactSet};

@@ -71,6 +71,65 @@ fn malformed_args_are_rejected() {
     // A required flag missing.
     let err = crowdfusion::cli::run(&args(&["generate-books"])).unwrap_err();
     assert!(err.contains("--out"));
+
+    // Out-of-contract generator configs are errors naming the field, and
+    // nothing is written.
+    for (raw, field) in datagen_rejections() {
+        let out = tmp("rejected.json");
+        let mut raw = raw.to_vec();
+        raw.extend_from_slice(&["--out", &out]);
+        let err = crowdfusion::cli::run(&args(&raw)).unwrap_err();
+        assert!(err.contains(field), "{raw:?}: {err}");
+        assert!(!Path::new(&out).exists(), "{raw:?} wrote {out}");
+    }
+}
+
+/// Generator arguments outside the datagen contract, each with the config
+/// field its error must name.
+fn datagen_rejections() -> [(&'static [&'static str], &'static str); 4] {
+    [
+        (&["generate-books", "--books", "0"], "n_books"),
+        (
+            &["generate-books", "--min-statements", "1"],
+            "statements_per_book",
+        ),
+        (
+            &[
+                "generate-books",
+                "--min-statements",
+                "9",
+                "--max-statements",
+                "4",
+            ],
+            "statements_per_book",
+        ),
+        (&["generate-countries", "--countries", "0"], "n_countries"),
+    ]
+}
+
+#[test]
+fn help_requests_print_the_usage() {
+    // `--help` or `-h` where a flag name goes, and `help` with anything
+    // after it, print the usage and succeed.
+    let requests: [&[&str]; 6] = [
+        &["refine", "--help"],
+        &["refine", "-h"],
+        &["help", "refine"],
+        &["generate-books", "--out", "x.json", "--help"],
+        &["--help"],
+        &["-h"],
+    ];
+    for raw in requests {
+        let usage = crowdfusion::cli::run(&args(raw)).unwrap();
+        assert!(usage.contains("USAGE"), "{raw:?}");
+    }
+    let exe = env!("CARGO_BIN_EXE_crowdfusion");
+    for raw in &requests[..3] {
+        let out = Command::new(exe).args(*raw).output().unwrap();
+        assert!(out.status.success(), "{raw:?} must exit 0: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+        assert!(out.stderr.is_empty(), "{raw:?} wrote to stderr");
+    }
 }
 
 #[test]
@@ -225,6 +284,19 @@ fn binary_exit_codes_match_contract() {
     assert_eq!(err.status.code(), Some(2), "errors must exit 2");
     assert!(String::from_utf8_lossy(&err.stderr).contains("unknown command"));
     assert!(err.stdout.is_empty(), "error output goes to stderr only");
+
+    // A generator config the datagen check rejects is an input error,
+    // not a panic (exit 101).
+    for (raw, field) in datagen_rejections() {
+        let out = tmp("rejected-bin.json");
+        let err = Command::new(exe)
+            .args(raw)
+            .args(["--out", &out])
+            .output()
+            .unwrap();
+        assert_eq!(err.status.code(), Some(2), "{raw:?}: {err:?}");
+        assert!(String::from_utf8_lossy(&err.stderr).contains(field));
+    }
 }
 
 #[test]

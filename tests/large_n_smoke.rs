@@ -1,9 +1,11 @@
 //! Large-entity smoke test: an n = 32 correlated-fact book refines end to
 //! end through the CLI pipeline — dataset generation, machine fusion,
-//! sparse correlated prior, and both the direct and the (sparse-table)
-//! preprocessed greedy selection — with traces bit-identical across
-//! thread counts. This is the acceptance gate for lifting the dense
-//! `2^n` fact ceiling; CI runs it as a dedicated release-mode step.
+//! sparse correlated prior, and both the direct and the preprocessed
+//! greedy selection — with traces bit-identical across thread counts.
+//! Past the dense limit the preprocessed path has no `2^n` answer table
+//! and scores the support through the direct engine, so its trace must
+//! equal the direct one. This is the acceptance gate for lifting the
+//! dense `2^n` fact ceiling; CI runs it as a dedicated release-mode step.
 
 use crowdfusion::cli;
 
@@ -69,12 +71,17 @@ fn thirty_two_fact_books_refine_end_to_end() {
         "direct selection must be bit-identical across thread counts"
     );
 
-    // Preprocessed selection (sparse answer table at n = 32), likewise.
+    // Preprocessed selection: the direct engine at n = 32, so the same
+    // trace at every thread count.
     let pre_t1 = refine("greedy-pre", "1", &tmp("pre_t1.csv"));
     let pre_t4 = refine("greedy-pre", "4", &tmp("pre_t4.csv"));
     assert_eq!(
+        pre_t1, direct_t1,
+        "preprocessed selection must run the direct engine past the dense limit"
+    );
+    assert_eq!(
         pre_t1, pre_t4,
-        "sparse preprocessed selection must be bit-identical across thread counts"
+        "preprocessed selection must be bit-identical across thread counts"
     );
 
     // Both paths spend the full budget: 3 books x 9 judgments.

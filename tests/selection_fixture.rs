@@ -1,7 +1,7 @@
 //! The committed selection fixture: `Experiment::run_sharded` traces of
 //! `GreedySelector::fast()` and `fast().with_preprocess()` on correlated
 //! books of 10–16 statements plus one 32-statement book (sparse prior,
-//! sparse answer table) must reproduce
+//! scored by the direct engine on both paths) must reproduce
 //! `tests/fixtures/selection_traces.json` byte for byte.
 //!
 //! Every later round selects on a posterior, so the fixture pins the
